@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/profile.h"
-#include "qap/qap.h"
 #include "robust/fault.h"
 
 namespace tqan {
@@ -87,43 +86,6 @@ BatchCompiler::BatchCompiler(BatchOptions opt)
 {
 }
 
-namespace {
-
-/** Structural fingerprint of a topology: name, size, couplings.
- * Keys the distance cache by value, so it stays correct when
- * callers destroy and rebuild topologies between batches. */
-std::uint64_t
-topologyFingerprint(const device::Topology &topo)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-    };
-    for (unsigned char c : topo.name())
-        mix(c);
-    mix(0xFFull);
-    mix(static_cast<std::uint64_t>(topo.numQubits()));
-    for (const auto &[u, v] : topo.edges()) {
-        mix(static_cast<std::uint64_t>(u));
-        mix(static_cast<std::uint64_t>(v));
-    }
-    return h;
-}
-
-} // namespace
-
-std::shared_ptr<const linalg::FlatMatrix>
-BatchCompiler::distancesFor(const device::Topology &topo) const
-{
-    std::lock_guard<std::mutex> lock(distMu_);
-    auto &slot = distCache_[topologyFingerprint(topo)];
-    if (!slot)
-        slot = std::make_shared<const linalg::FlatMatrix>(
-            qap::hopDistanceMatrix(topo));
-    return slot;
-}
-
 BatchJobResult
 BatchCompiler::runOne(const BatchJob &job) const
 {
@@ -137,16 +99,10 @@ BatchCompiler::run(const std::vector<BatchJob> &jobs) const
 
     std::vector<BatchJobResult> results(jobs.size());
 
-    // Resolve shared inputs up front, on the calling thread: the
-    // distance cache and the backend registry are locked here once
-    // instead of contended from every worker, and workers then touch
-    // only their own job slot (all cross-job data is immutable).
-    struct Prepared
-    {
-        const CompilerBackend *backend = nullptr;
-        std::shared_ptr<const linalg::FlatMatrix> dist;
-    };
-    std::vector<Prepared> prep(jobs.size());
+    // Resolve backends up front, on the calling thread: the registry
+    // is locked here once instead of contended from every worker, and
+    // workers then touch only their own job slot.
+    std::vector<const CompilerBackend *> backends(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
         results[i].backend = jobs[i].backend;
         results[i].tag = jobs[i].tag;
@@ -154,8 +110,7 @@ BatchCompiler::run(const std::vector<BatchJob> &jobs) const
             if (!jobs[i].topo)
                 throw std::invalid_argument(
                     "BatchCompiler: job.topo is null");
-            prep[i].backend = &backendByName(jobs[i].backend);
-            prep[i].dist = distancesFor(*jobs[i].topo);
+            backends[i] = &backendByName(jobs[i].backend);
         } catch (const std::exception &e) {
             results[i].error = e.what();
         }
@@ -164,7 +119,7 @@ BatchCompiler::run(const std::vector<BatchJob> &jobs) const
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (!results[i].ok())
             continue;
-        pool_->submit([&jobs, &results, &prep, i]() {
+        pool_->submit([&jobs, &results, &backends, i]() {
             const BatchJob &bj = jobs[i];
             BatchJobResult &out = results[i];
             try {
@@ -173,10 +128,8 @@ BatchCompiler::run(const std::vector<BatchJob> &jobs) const
                 if (robust::faultPoint("batch.dispatch"))
                     throw std::runtime_error(
                         "injected fault: batch.dispatch");
-                CompileJob job = bj.job;
-                job.options.sharedDistances = prep[i].dist;
                 auto t0 = Clock::now();
-                out.result = prep[i].backend->compile(job, *bj.topo);
+                out.result = backends[i]->compile(bj.job, *bj.topo);
                 out.seconds =
                     std::chrono::duration<double>(Clock::now() - t0)
                         .count();
@@ -184,7 +137,7 @@ BatchCompiler::run(const std::vector<BatchJob> &jobs) const
                     profile::record("backend." + bj.backend,
                                     out.seconds);
                 if (bj.job.step)
-                    out.metrics = prep[i].backend->metrics(
+                    out.metrics = backends[i]->metrics(
                         out.result, *bj.job.step, bj.gateset);
             } catch (const std::exception &e) {
                 out.error = e.what();

@@ -11,20 +11,17 @@
  * trials, lifted to whole compilations): every job carries its own
  * seed in `job.options.seed` and compiles on a private RNG, so the
  * results are bit-identical for any pool size and any submission
- * order.  Shared state is read-only: the per-topology hop-distance
- * matrix is computed once per batch and handed to every 2QAN job
- * through CompilerOptions::sharedDistances (the c-blosc2 rule — one
- * context per thread, shared data immutable — applied to
- * compilation jobs).
+ * order.  Shared state is read-only; the one exception, each
+ * topology's hop-distance matrix, is built exactly once by whichever
+ * worker first needs it (the c-blosc2 rule — one context per thread,
+ * shared data immutable — applied to compilation jobs).
  */
 
 #ifndef TQAN_CORE_BATCH_H
 #define TQAN_CORE_BATCH_H
 
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -120,9 +117,9 @@ struct BatchOptions
 /**
  * Executes batches of compilation jobs.
  *
- * The pool and the per-topology distance cache persist across run()
- * calls, so a long-lived BatchCompiler amortizes thread start-up and
- * distance-matrix construction over many sweeps.
+ * The pool persists across run() calls, so a long-lived
+ * BatchCompiler amortizes thread start-up over many sweeps.  Jobs
+ * targeting the same Topology object share its hop-distance matrix.
  *
  * @code
  *   BatchCompiler bc({8});
@@ -149,24 +146,9 @@ class BatchCompiler
      * synchronous cold path).  Same error convention as run(). */
     BatchJobResult runOne(const BatchJob &job) const;
 
-    /**
-     * The memoized hop-distance matrix of a topology (flat,
-     * row-major), shared read-only by all jobs of all batches
-     * targeting it.  Keyed by a structural fingerprint (name, qubit
-     * count, coupling list), not by object identity, so equal
-     * topologies hit the same entry across run() calls even when
-     * callers rebuild them per sweep.
-     */
-    std::shared_ptr<const linalg::FlatMatrix>
-    distancesFor(const device::Topology &topo) const;
-
   private:
     BatchOptions opt_;
     std::unique_ptr<ThreadPool> pool_;
-    mutable std::mutex distMu_;
-    mutable std::map<std::uint64_t,
-                     std::shared_ptr<const linalg::FlatMatrix>>
-        distCache_;
 };
 
 } // namespace core

@@ -1,22 +1,43 @@
 #include "core/compiler.h"
 
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "core/passes.h"
+#include "qap/mapper.h"
 
 namespace tqan {
 namespace core {
 
+namespace {
+
+/** Registry names of the MapperKind values, in enum order. */
+const char *const kMapperKindNames[] = {"tabu", "anneal", "greedy",
+                                        "line", "identity"};
+
+} // namespace
+
 std::string
 mapperKindName(MapperKind kind)
 {
-    static const char *names[] = {"tabu", "anneal", "greedy", "line",
-                                  "identity"};
     auto i = static_cast<size_t>(kind);
-    if (i >= sizeof(names) / sizeof(names[0]))
+    if (i >= std::size(kMapperKindNames))
         throw std::invalid_argument("mapperKindName: bad kind");
-    return names[i];
+    return kMapperKindNames[i];
+}
+
+MapperKind
+mapperKindByName(const std::string &name)
+{
+    for (size_t i = 0; i < std::size(kMapperKindNames); ++i)
+        if (name == kMapperKindNames[i])
+            return static_cast<MapperKind>(i);
+    std::string known;
+    for (const auto &n : qap::mapperNames())
+        known += (known.empty() ? "" : " | ") + n;
+    throw std::invalid_argument("unknown mapper '" + name +
+                                "' (expected " + known + ")");
 }
 
 TqanCompiler::TqanCompiler(device::Topology topo, CompilerOptions opt)
@@ -48,7 +69,6 @@ TqanCompiler::compile(const qcir::Circuit &step) const
     ctx.jobs = opt_.jobs;
     ctx.noiseMap = opt_.noiseMap;
     ctx.noiseLambda = opt_.noiseLambda;
-    ctx.adoptDistances(opt_.sharedDistances);
 
     CompileResult res;
     res.passTimes = buildPipeline().run(ctx);

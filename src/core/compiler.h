@@ -42,6 +42,10 @@ enum class MapperKind {
 /** Registry name of a built-in mapper kind ("tabu", "anneal", ...). */
 std::string mapperKindName(MapperKind kind);
 
+/** Inverse of mapperKindName().
+ * @throws std::invalid_argument naming the registered mappers */
+MapperKind mapperKindByName(const std::string &name);
+
 struct CompilerOptions
 {
     MapperKind mapper = MapperKind::Tabu;
@@ -74,15 +78,6 @@ struct CompilerOptions
     std::shared_ptr<const device::NoiseMap> noiseMap;
     /** Weight of the noise term in the noise-aware distances. */
     double noiseLambda = 1.0;
-    /**
-     * Optional precomputed hop-distance matrix of the target
-     * topology, shared across compilations (BatchCompiler memoizes
-     * one per topology).  Ignored when a noiseMap is attached or
-     * the matrix's dimension differs from the device's qubit
-     * count; beyond the dimension the content is trusted, so it
-     * must really be this device's hop matrix.
-     */
-    std::shared_ptr<const linalg::FlatMatrix> sharedDistances;
     std::uint64_t seed = 7;
 };
 

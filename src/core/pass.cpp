@@ -12,21 +12,11 @@ namespace core {
 const linalg::FlatMatrix &
 CompileContext::distances() const
 {
-    if (!dist_) {
-        dist_ = std::make_shared<const linalg::FlatMatrix>(
-            noiseMap ? noiseMap->noiseAwareDistances(noiseLambda)
-                     : qap::hopDistanceMatrix(*topo));
-    }
-    return *dist_;
-}
-
-void
-CompileContext::adoptDistances(
-    std::shared_ptr<const linalg::FlatMatrix> d)
-{
-    if (noiseMap || !d || d->rows() != topo->numQubits())
-        return;
-    dist_ = std::move(d);
+    if (!noiseMap)
+        return topo->hopDistances();
+    if (!noiseDist_)
+        noiseDist_ = noiseMap->noiseAwareDistances(noiseLambda);
+    return *noiseDist_;
 }
 
 double

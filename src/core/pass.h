@@ -4,8 +4,9 @@
  *
  * A compilation is a sequence of Pass objects run by a PassManager
  * over one shared CompileContext.  The context owns the working
- * circuit, the target topology, a memoized all-pairs distance matrix
- * (noise-aware when calibration data is attached), the seeded RNG and
+ * circuit, the target topology, the all-pairs distance matrix (the
+ * topology's hop matrix, or a memoized noise-aware matrix when
+ * calibration data is attached), the seeded RNG and
  * the result slots each stage fills in.  The manager accounts wall
  * time per pass, so callers get the paper's Sec. V-D runtime
  * breakdown for free, whatever the pipeline shape.
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -57,28 +59,15 @@ struct CompileContext
     ScheduleResult sched;
 
     /**
-     * Memoized all-pairs location-distance matrix: computed on first
-     * use (noise-aware if a NoiseMap is attached, otherwise the hop
-     * matrix) and shared by every pass and mapper trial thereafter.
-     * Stored flat (row-major, one buffer) so batch jobs share one
-     * read-only allocation per topology.
+     * The all-pairs location-distance matrix every pass and mapper
+     * trial reads: the topology's own hop matrix, or, when a
+     * NoiseMap is attached, the noise-aware matrix, computed on
+     * first use and memoized here (it is specific to this job).
      */
     const linalg::FlatMatrix &distances() const;
 
-    /**
-     * Seed the memo with a matrix computed elsewhere (BatchCompiler
-     * shares one hop matrix per topology across a whole batch).
-     * Ignored when a NoiseMap is attached — noise-aware distances
-     * are job-specific — or when the matrix's dimension differs
-     * from the topology's qubit count.  Only the dimension is
-     * checked: the caller must supply the hop matrix of *this*
-     * topology (BatchCompiler keys its cache on a structural
-     * fingerprint to guarantee that).
-     */
-    void adoptDistances(std::shared_ptr<const linalg::FlatMatrix> d);
-
   private:
-    mutable std::shared_ptr<const linalg::FlatMatrix> dist_;
+    mutable std::optional<linalg::FlatMatrix> noiseDist_;
 };
 
 /** One compilation stage. */

@@ -752,13 +752,12 @@ namespace {
 /**
  * Compile one grid job on the calling thread — the campaign-shard
  * equivalent of the BatchCompiler worker body in core/batch.cpp
- * (same seed, same shared distance matrix, same profile record), so
- * a sharded sweep scores identically to a batch run.  bc.runOne() is
- * NOT safe from concurrent campaign workers (ThreadPool::wait() is
- * global); distancesFor() is.
+ * (same seed, same profile record), so a sharded sweep scores
+ * identically to a batch run.  BatchCompiler::runOne() is NOT safe
+ * from concurrent campaign workers (ThreadPool::wait() is global).
  */
 BatchJobResult
-compileJobDirect(const BatchJob &bj, const BatchCompiler &bc)
+compileJobDirect(const BatchJob &bj)
 {
     using Clock = std::chrono::steady_clock;
     BatchJobResult out;
@@ -768,10 +767,8 @@ compileJobDirect(const BatchJob &bj, const BatchCompiler &bc)
         if (!bj.topo)
             throw std::invalid_argument("sweep job.topo is null");
         const CompilerBackend &backend = backendByName(bj.backend);
-        CompileJob job = bj.job;
-        job.options.sharedDistances = bc.distancesFor(*bj.topo);
         auto t0 = Clock::now();
-        out.result = backend.compile(job, *bj.topo);
+        out.result = backend.compile(bj.job, *bj.topo);
         out.seconds =
             std::chrono::duration<double>(Clock::now() - t0).count();
         if (profile::enabled())
@@ -790,10 +787,9 @@ compileJobDirect(const BatchJob &bj, const BatchCompiler &bc)
  * failure; shard failures (retry, quarantine) are reserved for
  * infrastructure faults. */
 void
-scoreSweepShard(const BatchJob &bj, const BatchCompiler &bc,
-                bool verifyRow, SweepRow *row)
+scoreSweepShard(const BatchJob &bj, bool verifyRow, SweepRow *row)
 {
-    BatchJobResult res = compileJobDirect(bj, bc);
+    BatchJobResult res = compileJobDirect(bj);
     row->metrics = res.metrics;
     row->seconds = res.seconds;
     row->mappingSeconds = res.result.mappingSeconds;
@@ -886,12 +882,12 @@ runSweepCampaign(const SweepSpec &spec, const BatchCompiler &bc,
 
     robust::CampaignResult camp = robust::runCampaign(
         ex.jobs.size(),
-        [&ex, &spec, &bc](std::uint64_t shard, int) {
+        [&ex, &spec](std::uint64_t shard, int) {
             if (robust::faultPoint("sweep.shard"))
                 throw std::runtime_error(
                     "injected fault: sweep.shard");
             SweepRow row = ex.rows[shard];
-            scoreSweepShard(ex.jobs[shard], bc, spec.verify, &row);
+            scoreSweepShard(ex.jobs[shard], spec.verify, &row);
             return toJson(row);
         },
         co);
@@ -1214,9 +1210,8 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
         // Shard = one job: warm it up un-timed, then time `repeat`
         // compiles and reduce to one row.  `suffix` labels the
         // scalar-pinned second phase of simdPairedCompile.
-        auto compileShard = [&ex, &bc,
-                             &opt](std::uint64_t shard,
-                                   const std::string &suffix) {
+        auto compileShard = [&ex, &opt](std::uint64_t shard,
+                                        const std::string &suffix) {
             const BatchJob &bj = ex.jobs[shard];
             const SweepRow &meta = ex.rows[shard];
             BenchRow b;
@@ -1227,14 +1222,14 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
             b.nqubits = meta.nqubits;
             b.instance = meta.instance;
             for (int w = 0; w < opt.warmup; ++w)
-                compileJobDirect(bj, bc);
+                compileJobDirect(bj);
             std::vector<double> secs, mapping, routing, scheduling;
             // Compiled-circuit quality (identical across repeats;
             // the clock is the only thing that varies).
             CompilationMetrics quality;
             bool haveQuality = false;
             for (int r = 0; r < opt.repeat; ++r) {
-                BatchJobResult res = compileJobDirect(bj, bc);
+                BatchJobResult res = compileJobDirect(bj);
                 if (!res.ok()) {
                     b.error = res.error;
                     continue;

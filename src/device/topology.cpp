@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/profile.h"
+
 namespace tqan {
 namespace device {
 
@@ -19,12 +21,41 @@ gateSetName(GateSet g)
 }
 
 Topology::Topology(std::string name, graph::Graph coupling)
-    : name_(std::move(name)), coupling_(std::move(coupling))
+    : name_(std::move(name)), coupling_(std::move(coupling)),
+      hops_(std::make_shared<HopCache>())
 {
     if (!coupling_.isConnected())
         throw std::invalid_argument(
             "Topology: coupling graph must be connected");
-    dist_ = graph::floydWarshall(coupling_);
+}
+
+const linalg::FlatMatrix &
+Topology::buildHopDistances() const
+{
+    HopCache &c = *hops_;
+    std::call_once(c.once, [this, &c]() {
+        core::profile::ScopedTimer prof("device.hop_distances");
+        int n = numQubits();
+        linalg::FlatMatrix d(n, n, -1.0);
+        std::vector<int> queue(n);
+        for (int s = 0; s < n; ++s) {
+            double *row = d[s];
+            row[s] = 0.0;
+            int head = 0, tail = 0;
+            queue[tail++] = s;
+            while (head < tail) {
+                int v = queue[head++];
+                for (int w : coupling_.neighbors(v))
+                    if (row[w] < 0.0) {
+                        row[w] = row[v] + 1.0;
+                        queue[tail++] = w;
+                    }
+            }
+        }
+        c.matrix = std::move(d);
+        c.ready.store(&c.matrix, std::memory_order_release);
+    });
+    return c.matrix;
 }
 
 } // namespace device

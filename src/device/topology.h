@@ -6,10 +6,14 @@
 #ifndef TQAN_DEVICE_TOPOLOGY_H
 #define TQAN_DEVICE_TOPOLOGY_H
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "linalg/flat_matrix.h"
 
 namespace tqan {
 namespace device {
@@ -25,8 +29,16 @@ enum class GateSet {
 std::string gateSetName(GateSet g);
 
 /**
- * A quantum device: qubit count, coupling graph, and precomputed
- * all-pairs hop distances (the QAP distance matrix of Eq. 7).
+ * A quantum device: qubit count, coupling graph, and the all-pairs
+ * hop distances (the QAP distance matrix of Eq. 7).
+ *
+ * The hop matrix is the one copy every mapper, router and cost
+ * function reads.  It is built lazily, on the first hopDistances()
+ * or dist() call, by one BFS per qubit (O(N*E)), so building a
+ * topology only to key a cache or check a coupling costs nothing
+ * beyond the graph.  Copies share the matrix, including copies made
+ * before its first use, and concurrent first use from several
+ * threads builds it exactly once.
  */
 class Topology
 {
@@ -50,16 +62,33 @@ class Topology
         return coupling_.hasEdge(p, q);
     }
     /** Hop distance between hardware qubits. */
-    int dist(int p, int q) const { return dist_[p][q]; }
-    const std::vector<std::vector<int>> &distMatrix() const
+    int dist(int p, int q) const
     {
-        return dist_;
+        return static_cast<int>(hopDistances()[p][q]);
+    }
+    /** All-pairs hop distances, row-major and widened to double. */
+    const linalg::FlatMatrix &hopDistances() const
+    {
+        if (const linalg::FlatMatrix *m =
+                hops_->ready.load(std::memory_order_acquire))
+            return *m;
+        return buildHopDistances();
     }
 
   private:
+    /** The lazily built hop matrix, one per family of copies. */
+    struct HopCache
+    {
+        std::once_flag once;
+        std::atomic<const linalg::FlatMatrix *> ready{nullptr};
+        linalg::FlatMatrix matrix;
+    };
+
+    const linalg::FlatMatrix &buildHopDistances() const;
+
     std::string name_;
     graph::Graph coupling_;
-    std::vector<std::vector<int>> dist_;
+    std::shared_ptr<HopCache> hops_;
 };
 
 } // namespace device

@@ -67,22 +67,5 @@ Graph::isConnected() const
                        [](int x) { return x >= 0; });
 }
 
-std::vector<std::vector<int>>
-floydWarshall(const Graph &g)
-{
-    int n = g.numNodes();
-    const int inf = n;  // any real path has < n hops
-    std::vector<std::vector<int>> d(n, std::vector<int>(n, inf));
-    for (int i = 0; i < n; ++i)
-        d[i][i] = 0;
-    for (const auto &[u, v] : g.edges())
-        d[u][v] = d[v][u] = 1;
-    for (int k = 0; k < n; ++k)
-        for (int i = 0; i < n; ++i)
-            for (int j = 0; j < n; ++j)
-                d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
-    return d;
-}
-
 } // namespace graph
 } // namespace tqan

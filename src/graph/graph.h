@@ -48,13 +48,6 @@ class Graph
     std::vector<Edge> edges_;
 };
 
-/**
- * All-pairs shortest hop distances via Floyd-Warshall (the algorithm
- * named by the paper for the QAP distance matrix).  Unreachable pairs
- * get a large sentinel (numNodes, i.e. > any real distance).
- */
-std::vector<std::vector<int>> floydWarshall(const Graph &g);
-
 } // namespace graph
 } // namespace tqan
 

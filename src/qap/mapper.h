@@ -38,8 +38,8 @@ struct MapperRequest
     const device::Topology *topo = nullptr;
     /**
      * Location-distance matrix the QAP solvers score against: the
-     * memoized hop matrix, or noise-aware distances when calibration
-     * data is attached (CompileContext::distances()).
+     * topology's hop matrix, or noise-aware distances when
+     * calibration data is attached (CompileContext::distances()).
      */
     const linalg::FlatMatrix *dist = nullptr;
     std::uint64_t seed = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/profile.h"
-
 namespace tqan {
 namespace qap {
 
@@ -69,17 +67,7 @@ double
 qapCost(const linalg::FlatMatrix &flow,
         const device::Topology &topo, const Placement &p)
 {
-    if (!placementIsValid(p, topo.numQubits()))
-        throw std::invalid_argument("qapCost: invalid placement");
-    int n = flow.rows();
-    double c = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double *frow = flow[i];
-        for (int j = i + 1; j < n; ++j)
-            if (frow[j] != 0.0)
-                c += frow[j] * topo.dist(p[i], p[j]);
-    }
-    return c;
+    return qapCostMatrix(flow, topo.hopDistances(), p);
 }
 
 double
@@ -99,20 +87,6 @@ qapCostMatrix(const linalg::FlatMatrix &flow,
                 c += frow[j] * drow[p[j]];
     }
     return c;
-}
-
-linalg::FlatMatrix
-hopDistanceMatrix(const device::Topology &topo)
-{
-    core::profile::ScopedTimer prof("qap.hop_distances");
-    int n = topo.numQubits();
-    linalg::FlatMatrix d(n, n);
-    for (int i = 0; i < n; ++i) {
-        double *row = d[i];
-        for (int j = 0; j < n; ++j)
-            row[j] = topo.dist(i, j);
-    }
-    return d;
 }
 
 } // namespace qap

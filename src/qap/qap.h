@@ -70,10 +70,6 @@ double qapCostMatrix(const linalg::FlatMatrix &flow,
                      const linalg::FlatMatrix &dist,
                      const Placement &p);
 
-/** The hop-distance matrix of a device, widened to double (the
- * memoized QAP distance matrix of CompileContext). */
-linalg::FlatMatrix hopDistanceMatrix(const device::Topology &topo);
-
 } // namespace qap
 } // namespace tqan
 

@@ -488,8 +488,7 @@ tabuSearchQap(const linalg::FlatMatrix &flow,
               const device::Topology &topo, std::mt19937_64 &rng,
               const TabuOptions &opt)
 {
-    return tabuSearchQapMatrix(flow, hopDistanceMatrix(topo), rng,
-                               opt);
+    return tabuSearchQapMatrix(flow, topo.hopDistances(), rng, opt);
 }
 
 Placement
@@ -497,11 +496,12 @@ bestOfTabu(const linalg::FlatMatrix &flow,
            const device::Topology &topo, std::mt19937_64 &rng,
            int trials, const TabuOptions &opt)
 {
+    const linalg::FlatMatrix &dist = topo.hopDistances();
     Placement best;
     double best_cost = 0.0;
     for (int t = 0; t < trials; ++t) {
-        Placement p = tabuSearchQap(flow, topo, rng, opt);
-        double c = qapCost(flow, topo, p);
+        Placement p = tabuSearchQapMatrix(flow, dist, rng, opt);
+        double c = qapCostMatrix(flow, dist, p);
         if (best.empty() || c < best_cost) {
             best = p;
             best_cost = c;
@@ -560,7 +560,7 @@ bestOfTabu(const linalg::FlatMatrix &flow,
            const device::Topology &topo, std::uint64_t seed,
            int trials, const TabuOptions &opt, int jobs)
 {
-    return bestOfTabu(flow, hopDistanceMatrix(topo), seed, trials, opt,
+    return bestOfTabu(flow, topo.hopDistances(), seed, trials, opt,
                       jobs);
 }
 

@@ -20,7 +20,9 @@ struct FaultState
 {
     std::mutex mu;
     FaultPlan plan;
-    bool envChecked = false;
+    /** Set once, under mu, when TQAN_FAULT is consulted or a plan
+     * installed; read lock-free on the disarmed fast path. */
+    std::atomic<bool> envChecked{false};
     std::unordered_map<std::string, std::uint64_t> hits;
 };
 
@@ -67,9 +69,9 @@ actionName(FaultAction a)
 void
 ensureEnvLoadedLocked(FaultState &s)
 {
-    if (s.envChecked)
+    if (s.envChecked.load(std::memory_order_relaxed))
         return;
-    s.envChecked = true;
+    s.envChecked.store(true, std::memory_order_release);
     std::string raw = core::envStringOr("TQAN_FAULT", "");
     if (raw.empty())
         return;
@@ -164,7 +166,8 @@ setFaultPlan(FaultPlan plan)
 {
     FaultState &s = state();
     std::lock_guard<std::mutex> lock(s.mu);
-    s.envChecked = true; // a programmatic plan overrides TQAN_FAULT
+    // A programmatic plan overrides TQAN_FAULT.
+    s.envChecked.store(true, std::memory_order_release);
     s.plan = std::move(plan);
     s.hits.clear();
     gArmed.store(!s.plan.empty(), std::memory_order_relaxed);
@@ -207,10 +210,10 @@ faultPoint(const char *site)
     FaultState &s = state();
     if (!gArmed.load(std::memory_order_relaxed)) {
         // Disarmed fast path — but TQAN_FAULT may not have been
-        // looked at yet.  envChecked is only written under the mutex
-        // and only flips once; a racy stale read here just means one
-        // extra locked check.
-        if (s.envChecked)
+        // looked at yet.  envChecked only flips false -> true, with a
+        // release store under the mutex that this acquire load pairs
+        // with; seeing it clear costs one locked check.
+        if (s.envChecked.load(std::memory_order_acquire))
             return false;
         std::lock_guard<std::mutex> lock(s.mu);
         ensureEnvLoadedLocked(s);

@@ -68,24 +68,6 @@ keyHex(std::uint64_t key)
     return buf;
 }
 
-core::MapperKind
-mapperByName(const std::string &name)
-{
-    const std::pair<const char *, core::MapperKind> kinds[] = {
-        {"tabu", core::MapperKind::Tabu},
-        {"anneal", core::MapperKind::Anneal},
-        {"greedy", core::MapperKind::Greedy},
-        {"line", core::MapperKind::Line},
-        {"identity", core::MapperKind::Identity},
-    };
-    for (const auto &[n, k] : kinds)
-        if (name == n)
-            return k;
-    throw std::invalid_argument(
-        "unknown mapper '" + name +
-        "' (tabu | anneal | greedy | line | identity)");
-}
-
 /** Every CompilerOptions field, exactly once, in a fixed order.
  * tests/service/test_cache_key.cpp asserts (a) mutating any field
  * changes the key and (b) the struct layout is the one this list
@@ -95,10 +77,6 @@ void
 appendCanonicalOptions(std::string &s,
                        const core::CompilerOptions &o, int nqubits)
 {
-    if (o.sharedDistances)
-        throw std::invalid_argument(
-            "request options must not carry sharedDistances (the "
-            "service injects the memoized matrix after keying)");
     s += "options-v2\n";
     s += "mapper=" + core::mapperKindName(o.mapper) + "\n";
     s += "mapper_trials=" + std::to_string(o.mapperTrials) + "\n";
@@ -324,7 +302,8 @@ CompileService::parseCompileRequest(const JsonObject &obj)
     o.seed = u64Field(obj, "seed", o.seed);
     o.mapperTrials = intField(obj, "trials", o.mapperTrials, 1);
     o.jobs = intField(obj, "jobs", o.jobs, 1);
-    o.mapper = mapperByName(stringField(obj, "mapper", "tabu"));
+    o.mapper =
+        core::mapperKindByName(stringField(obj, "mapper", "tabu"));
     o.router.name = stringField(obj, "router", o.router.name);
     core::routerByName(o.router.name);  // reject unknowns up front
     o.unifyCircuit =

@@ -150,9 +150,9 @@ class CompileService
 
     /** @name Content addressing (exposed for the key tests).
      * canonicalRequest() folds in the resolved topology structure
-     * and EVERY CompilerOptions field (sharedDistances excepted: it
-     * is derived plumbing the batch layer injects after keying and
-     * must be null here).  cacheKey() is its fnv1a64. @{ */
+     * and EVERY CompilerOptions field; it never reads the hop
+     * distances, so keying a request builds no distance matrix.
+     * cacheKey() is its fnv1a64. @{ */
     static std::string canonicalRequest(
         const CompileRequest &req, const device::Topology &topo);
     static std::uint64_t cacheKey(const CompileRequest &req,

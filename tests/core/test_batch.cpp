@@ -147,28 +147,3 @@ TEST(BatchCompiler, PerJobFailuresStayContained)
     EXPECT_FALSE(results[1].ok());
     EXPECT_TRUE(results[2].ok()) << results[2].error;
 }
-
-TEST(BatchCompiler, DistanceMatrixIsMemoizedPerTopology)
-{
-    BatchCompiler bc({1});
-    auto d1 = [&bc]() {
-        // Scoped on purpose: the cache must not dangle on the
-        // address of a dead Topology (it is keyed structurally).
-        device::Topology g1 = device::grid(3, 3);
-        auto d = bc.distancesFor(g1);
-        EXPECT_EQ(d.get(), bc.distancesFor(g1).get());
-        return d;
-    }();
-    ASSERT_EQ(d1->rows(), 9);
-    EXPECT_DOUBLE_EQ((*d1)[0][8], 4.0);
-
-    // A freshly built equal topology shares the cached matrix; a
-    // structurally different one gets its own.
-    device::Topology g2 = device::grid(3, 3);
-    EXPECT_EQ(bc.distancesFor(g2).get(), d1.get());
-    device::Topology other = device::line(9);
-    EXPECT_NE(bc.distancesFor(other).get(), d1.get());
-    // Same shape but different couplings: grid(3,3) vs ring(9).
-    device::Topology ring9 = device::ring(9);
-    EXPECT_NE(bc.distancesFor(ring9).get(), d1.get());
-}

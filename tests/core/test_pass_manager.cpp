@@ -152,4 +152,9 @@ TEST(Compiler, MapperKindNamesMatchRegistry)
     EXPECT_EQ(mapperKindName(MapperKind::Greedy), "greedy");
     EXPECT_EQ(mapperKindName(MapperKind::Line), "line");
     EXPECT_EQ(mapperKindName(MapperKind::Identity), "identity");
+    for (MapperKind k : {MapperKind::Tabu, MapperKind::Anneal,
+                         MapperKind::Greedy, MapperKind::Line,
+                         MapperKind::Identity})
+        EXPECT_EQ(mapperKindByName(mapperKindName(k)), k);
+    EXPECT_THROW(mapperKindByName("bogus"), std::invalid_argument);
 }

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <thread>
+#include <vector>
+
 #include "device/devices.h"
+#include "testgen/random_topology.h"
 
 using namespace tqan::device;
 
@@ -50,6 +55,67 @@ TEST(Topology, RejectsDisconnected)
 {
     tqan::graph::Graph g(4, {{0, 1}, {2, 3}});
     EXPECT_THROW(Topology("bad", g), std::invalid_argument);
+}
+
+namespace {
+
+void
+expectHopDistancesMatchBfs(const Topology &t)
+{
+    const tqan::linalg::FlatMatrix &d = t.hopDistances();
+    ASSERT_EQ(d.rows(), t.numQubits());
+    ASSERT_EQ(d.cols(), t.numQubits());
+    for (int s = 0; s < t.numQubits(); ++s) {
+        std::vector<int> bfs = t.coupling().bfsDistances(s);
+        for (int q = 0; q < t.numQubits(); ++q) {
+            ASSERT_EQ(d[s][q], bfs[q]) << t.name() << " " << s << "->"
+                                       << q;
+            ASSERT_EQ(t.dist(s, q), bfs[q]);
+        }
+    }
+}
+
+} // namespace
+
+TEST(Topology, HopDistancesMatchBfs)
+{
+    std::mt19937_64 rng(5);
+    tqan::testgen::TopologyOptions opt;
+    opt.maxQubits = 30;
+    for (int trial = 0; trial < 10; ++trial)
+        expectHopDistancesMatchBfs(
+            tqan::testgen::randomConnectedTopology(rng, opt));
+    expectHopDistancesMatchBfs(grid(5, 7));
+    expectHopDistancesMatchBfs(heavyHex(3));
+    expectHopDistancesMatchBfs(sycamore54());
+}
+
+TEST(Topology, CopiesShareOneMatrix)
+{
+    Topology t = grid(4, 4);
+    Topology early = t;  // copied before the matrix exists
+    const tqan::linalg::FlatMatrix *m = &early.hopDistances();
+    EXPECT_EQ(&t.hopDistances(), m);
+    Topology late = t;
+    EXPECT_EQ(&late.hopDistances(), m);
+    EXPECT_NE(&grid(4, 4).hopDistances(), m);  // equal, not shared
+}
+
+TEST(Topology, ConcurrentFirstUseBuildsOnce)
+{
+    Topology t = grid(12, 12);
+    constexpr int kThreads = 8;
+    std::vector<const tqan::linalg::FlatMatrix *> seen(kThreads);
+    std::vector<std::thread> pool;
+    for (int i = 0; i < kThreads; ++i)
+        pool.emplace_back([&t, &seen, i]() {
+            seen[i] = &t.hopDistances();
+        });
+    for (auto &th : pool)
+        th.join();
+    for (int i = 0; i < kThreads; ++i)
+        EXPECT_EQ(seen[i], seen[0]);
+    EXPECT_EQ(t.dist(0, 143), 22);
 }
 
 TEST(Devices, Sycamore54)

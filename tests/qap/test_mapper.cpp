@@ -82,7 +82,7 @@ TEST(MapperRegistry, CustomStrategyPlugsIn)
 
     qcir::Circuit c(4);
     device::Topology topo = device::line(4);
-    auto dist = hopDistanceMatrix(topo);
+    const auto &dist = topo.hopDistances();
     auto p = makeMapper("test_reverse")->map(
         requestFor(c, topo, dist, 0));
     EXPECT_EQ(p, (Placement{3, 2, 1, 0}));
@@ -94,7 +94,7 @@ TEST(MapperRegistry, EveryBuiltinProducesValidPlacement)
     auto h = ham::nnnHeisenberg(8, rng);
     auto step = ham::trotterStep(h, 1.0);
     device::Topology topo = device::grid(3, 3);
-    auto dist = hopDistanceMatrix(topo);
+    const auto &dist = topo.hopDistances();
 
     for (const auto &name : mapperNames()) {
         if (name.rfind("test_", 0) == 0)
@@ -115,7 +115,7 @@ TEST(TabuParallel, JobsDoNotChangeThePlacement)
     auto h = ham::nnnHeisenberg(12, rng);
     auto f = flowMatrix(h);
     device::Topology topo = device::montreal27();
-    auto dist = hopDistanceMatrix(topo);
+    const auto &dist = topo.hopDistances();
 
     for (std::uint64_t seed : {7ull, 62ull, 1000003ull}) {
         Placement seq = bestOfTabu(f, dist, seed, 5, TabuOptions(), 1);
@@ -183,6 +183,6 @@ TEST(TabuParallel, RejectsZeroTrials)
     device::Topology topo = device::line(4);
     linalg::FlatMatrix f(4, 4);
     EXPECT_THROW(
-        bestOfTabu(f, hopDistanceMatrix(topo), 1, 0, TabuOptions(), 2),
+        bestOfTabu(f, topo.hopDistances(), 1, 0, TabuOptions(), 2),
         std::invalid_argument);
 }

@@ -212,8 +212,7 @@ TEST(DeltaTable, MatchesBruteForceOnIntegralInstances)
     for (int inst = 0; inst < 4; ++inst) {
         int n = 5 + inst * 2;
         auto flow = randomFlow(n, rng);
-        auto dist =
-            hopDistanceMatrix(device::grid(4, 4 + inst));
+        auto dist = device::grid(4, 4 + inst).hopDistances();
         checkDeltaTable(flow, dist, rng, 40,
                         /*expectExact=*/true);
     }
@@ -262,7 +261,7 @@ TEST_P(TabuBitIdentity, MatchesReferenceKernelOnHopDistances)
     };
     for (auto &c : cases) {
         auto flow = randomFlow(c.n, gen);
-        auto dist = hopDistanceMatrix(c.topo);
+        const auto &dist = c.topo.hopDistances();
         std::uint64_t seed = gen();
 
         std::mt19937_64 r1(seed), r2(seed);
@@ -304,7 +303,7 @@ TEST(TabuBitIdentity, AsymmetricFlowFallsBackToRescan)
         for (int j = 0; j < 8; ++j)
             if (i != j)
                 flow[i][j] = w(gen);
-    auto dist = hopDistanceMatrix(device::grid(4, 4));
+    auto dist = device::grid(4, 4).hopDistances();
 
     DeltaTable dt(flow, dist);
     EXPECT_FALSE(dt.memoizable());
@@ -325,7 +324,7 @@ TEST(TabuBitIdentitySimd, EveryIsaScanMatchesForcedScalar)
     std::mt19937_64 gen(31337);
     for (int inst = 0; inst < 3; ++inst) {
         auto flow = randomFlow(8 + inst, gen);
-        auto dist = hopDistanceMatrix(device::montreal27());
+        auto dist = device::montreal27().hopDistances();
         std::uint64_t seed = gen();
 
         Placement scalarP = [&]() {
@@ -373,7 +372,7 @@ TEST(TabuBitIdentityJobs, ParallelTrialsMatchSequential)
     std::mt19937_64 gen(42);
     auto h = ham::nnnHeisenberg(10, gen);
     auto flow = flowMatrix(h);
-    auto dist = hopDistanceMatrix(device::sycamore54());
+    auto dist = device::sycamore54().hopDistances();
 
     Placement seq = bestOfTabu(flow, dist, 4242, 5, TabuOptions(), 1);
     Placement par = bestOfTabu(flow, dist, 4242, 5, TabuOptions(), 8);
@@ -422,7 +421,7 @@ TEST(TabuTinyDevices, BestOfTabuOnTwoQubitDevice)
     linalg::FlatMatrix flow(2, 2);
     flow[0][1] = flow[1][0] = 3.0;
     Placement p = bestOfTabu(
-        flow, hopDistanceMatrix(device::line(2)), 7, 3,
+        flow, device::line(2).hopDistances(), 7, 3,
         TabuOptions(), 2);
     EXPECT_TRUE(placementIsValid(p, 2));
 }

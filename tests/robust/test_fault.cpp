@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "robust/fault.h"
 
@@ -84,6 +86,26 @@ TEST(FaultPoint, DisarmedProbeNeverFires)
     clearFaultPlan();
     for (int i = 0; i < 100; ++i)
         EXPECT_FALSE(faultPoint("cache.lookup"));
+}
+
+TEST(FaultPoint, ConcurrentProbesBeforeAnyPlanAgree)
+{
+    // No plan installed yet: every thread races the lazy TQAN_FAULT
+    // check on the disarmed fast path (a data race checker must stay
+    // quiet here).
+    PlanGuard guard;
+    constexpr int kThreads = 8;
+    std::vector<int> fired(kThreads, 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&fired, t]() {
+            for (int i = 0; i < 100; ++i)
+                fired[t] += faultPoint("batch.dispatch") ? 1 : 0;
+        });
+    for (auto &th : pool)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(fired[t], 0);
 }
 
 TEST(FaultPoint, FailFiresExactlyOnceAtTheNthHit)

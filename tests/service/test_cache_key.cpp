@@ -18,10 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <random>
 
 #include "core/compiler.h"
+#include "core/limits.h"
 #include "device/noise_map.h"
 #include "service/service.h"
 #include "testgen/random_topology.h"
@@ -62,9 +64,6 @@ struct CompilerOptionsMirror
     TabuOptionsMirror tabu;
     std::shared_ptr<const device::NoiseMap> noiseMap;
     double noiseLambda;
-    /** Excluded from the key by design: derived plumbing the batch
-     * layer injects after keying (must be null in a request). */
-    std::shared_ptr<const linalg::FlatMatrix> sharedDistances;
     std::uint64_t seed;
 };
 static_assert(sizeof(TabuOptionsMirror) == sizeof(qap::TabuOptions),
@@ -233,17 +232,22 @@ TEST(CacheKey, DifferentNoiseMapsGetDifferentKeys)
     EXPECT_EQ(withNoise(3), withNoise(3));
 }
 
-TEST(CacheKey, RejectsRequestsCarryingSharedDistances)
+TEST(CacheKey, HugeDeviceKeysWithoutDistances)
 {
-    // sharedDistances is the one deliberate exclusion: derived,
-    // injected by the batch layer after keying.  A request arriving
-    // with it set would be a layering bug — refuse to key it.
+    // Keying reads the coupling list only: the largest device the
+    // spec parser accepts keys at once, with no N^2 hop matrix.
     CompileRequest r = baseRequest();
+    r.device = "grid:128x128";
     device::Topology topo = testgen::topologyFromSpec(r.device);
-    r.options.sharedDistances =
-        std::make_shared<linalg::FlatMatrix>(1, 1);
-    EXPECT_THROW(CompileService::cacheKey(r, topo),
-                 std::invalid_argument);
+    ASSERT_EQ(topo.numQubits(), core::kMaxTopologyQubits);
+    auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t key = CompileService::cacheKey(r, topo);
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    EXPECT_EQ(key, CompileService::cacheKey(r, topo));
+    EXPECT_NE(key, keyOf(baseRequest()));
+    EXPECT_LT(seconds, 5.0);
 }
 
 TEST(CacheKey, TimeUsesExactBitsNotFormatting)

@@ -93,24 +93,6 @@ printHelp(std::FILE *out)
         joined(core::routerNames()).c_str());
 }
 
-core::MapperKind
-mapperByName(const std::string &name)
-{
-    const std::pair<const char *, core::MapperKind> kinds[] = {
-        {"tabu", core::MapperKind::Tabu},
-        {"anneal", core::MapperKind::Anneal},
-        {"greedy", core::MapperKind::Greedy},
-        {"line", core::MapperKind::Line},
-        {"identity", core::MapperKind::Identity},
-    };
-    for (const auto &[n, k] : kinds)
-        if (name == n)
-            return k;
-    throw std::runtime_error("unknown mapper '" + name +
-                             "' (expected " +
-                             joined(qap::mapperNames()) + ")");
-}
-
 } // namespace
 
 int
@@ -239,7 +221,7 @@ main(int argc, char **argv)
         job.options.router.unifySwaps = !no_unify;
         job.options.router.name = router;
         job.options.hybridSchedule = !generic_sched;
-        job.options.mapper = mapperByName(mapper);
+        job.options.mapper = core::mapperKindByName(mapper);
         if (noise_aware) {
             std::mt19937_64 nrng(seed ^ 0xCA11B8A7Eull);
             job.options.noiseMap =
