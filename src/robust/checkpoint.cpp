@@ -1,197 +1,29 @@
 #include "robust/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <stdexcept>
-
-#include "core/hash.h"
 #include "core/profile.h"
-#include "robust/fault.h"
-#include "robust/io.h"
 
 namespace tqan {
 namespace robust {
 
 constexpr char Checkpoint::kMagic[9];
-constexpr std::uint32_t Checkpoint::kVersion;
-constexpr std::uint32_t Checkpoint::kMaxPayload;
 constexpr std::uint64_t Checkpoint::kMetaShard;
 
-namespace {
-
-constexpr std::size_t kHeaderSize = 8 + 4 + 4;
-constexpr std::size_t kEntryHead = 8 + 4 + 8;
-
-void
-putU32(std::string &buf, std::uint32_t v)
+Checkpoint::Checkpoint(std::string path)
 {
-    for (int i = 0; i < 4; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::string
-headerBytes()
-{
-    std::string h(Checkpoint::kMagic, 8);
-    putU32(h, Checkpoint::kVersion);
-    putU32(h, 0);
-    return h;
-}
-
-/** Checksum binds the payload to its shard id, so an entry can never
- * be re-attributed by flipping the id field. */
-std::uint64_t
-entrySum(std::uint64_t shard, const char *pay, std::size_t n)
-{
-    std::string id;
-    putU64(id, shard);
-    return core::fnv1a64(pay, n, core::fnv1a64(id.data(), 8));
-}
-
-} // namespace
-
-Checkpoint::Checkpoint(std::string path) : path_(std::move(path))
-{
-    if (!path_.empty())
-        openStore();
-}
-
-Checkpoint::~Checkpoint()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-Checkpoint::openStore()
-{
-    std::string data;
-    bool exists =
-        readFileRetry(path_, &data, "ckpt.read", &load_.retries);
-
-    std::size_t good = 0;
-    if (exists && data.size() >= kHeaderSize &&
-        std::memcmp(data.data(), kMagic, 8) == 0 &&
-        getU32(reinterpret_cast<const unsigned char *>(data.data()) +
-               8) == kVersion) {
-        good = kHeaderSize;
-        std::size_t at = kHeaderSize;
-        while (at + kEntryHead <= data.size()) {
-            const unsigned char *p =
-                reinterpret_cast<const unsigned char *>(
-                    data.data()) +
-                at;
-            std::uint64_t shard = getU64(p);
-            std::uint32_t payLen = getU32(p + 8);
-            std::uint64_t sum = getU64(p + 12);
-            if (payLen > kMaxPayload)
-                break;
-            std::size_t need = kEntryHead + std::size_t(payLen);
-            if (at + need > data.size())
-                break; // truncated tail
-            const char *pay = data.data() + at + kEntryHead;
-            if (entrySum(shard, pay, payLen) != sum)
-                break; // corrupt entry
-            map_[shard] = std::string(pay, payLen);
-            at += need;
-            good = at;
-            ++load_.loadedEntries;
-        }
-        load_.droppedBytes = data.size() - good;
-    } else if (exists && !data.empty()) {
-        load_.rebuilt = true; // foreign or torn header: start over
-    }
-
-    int flags = O_WRONLY | O_CREAT | O_APPEND;
-    if (good == 0) {
-        // Fresh or rebuilt store: truncate and write a clean header.
-        fd_ = ::open(path_.c_str(), flags | O_TRUNC, 0644);
-        if (fd_ < 0)
-            throw std::runtime_error("cannot open checkpoint " +
-                                     path_ + ": " +
-                                     std::strerror(errno));
-        std::string h = headerBytes();
-        writeAll(fd_, h.data(), h.size());
-        fsyncRetry(fd_);
-    } else {
-        if (good < data.size() &&
-            ::truncate(path_.c_str(), static_cast<off_t>(good)) !=
-                0) {
-            // Could not truncate: rewrite the verified prefix.
-            int rw = ::open(path_.c_str(), O_WRONLY | O_TRUNC, 0644);
-            if (rw >= 0) {
-                writeAll(rw, data.data(), good);
-                fsyncRetry(rw);
-                ::close(rw);
-            }
-        }
-        fd_ = ::open(path_.c_str(), flags, 0644);
-        if (fd_ < 0)
-            throw std::runtime_error("cannot open checkpoint " +
-                                     path_ + ": " +
-                                     std::strerror(errno));
-    }
+    if (!path.empty())
+        journal_.open(path, [this](std::uint64_t shard,
+                                   std::string_view payload) {
+            map_[shard] = std::string(payload);
+            return true;
+        });
 }
 
 void
 Checkpoint::append(std::uint64_t shard, const std::string &payload)
 {
-    if (fd_ < 0)
+    if (!enabled())
         return;
-    if (payload.size() > kMaxPayload)
-        throw std::runtime_error("checkpoint payload too large");
-
-    std::string buf;
-    buf.reserve(kEntryHead + payload.size());
-    putU64(buf, shard);
-    putU32(buf, static_cast<std::uint32_t>(payload.size()));
-    putU64(buf, entrySum(shard, payload.data(), payload.size()));
-    buf += payload;
-
-    if (faultPoint("ckpt.append")) {
-        // Injected torn write: leave half the entry on disk, exactly
-        // what a crash mid-append produces.  The next open must drop
-        // it.
-        writeAll(fd_, buf.data(), buf.size() / 2);
-        throw std::runtime_error(
-            "injected fault: ckpt.append (torn write)");
-    }
-    writeAll(fd_, buf.data(), buf.size());
-
-    if (faultPoint("ckpt.fsync"))
-        throw std::runtime_error("injected fault: ckpt.fsync");
-    // The durability handshake: only after fsync is the shard
-    // acknowledged (recorded in map_, reported Done, counted by
-    // --resume).
-    fsyncRetry(fd_);
+    journal_.append(shard, payload);
     core::profile::count("robust.ckpt.append");
     map_[shard] = payload;
 }
@@ -199,16 +31,8 @@ Checkpoint::append(std::uint64_t shard, const std::string &payload)
 void
 Checkpoint::reset()
 {
-    if (fd_ < 0)
-        return;
-    if (::ftruncate(fd_, 0) != 0)
-        throw std::runtime_error("cannot reset checkpoint " + path_ +
-                                 ": " + std::strerror(errno));
-    std::string h = headerBytes();
-    writeAll(fd_, h.data(), h.size());
-    fsyncRetry(fd_);
+    journal_.reset();
     map_.clear();
-    load_ = LoadInfo{};
 }
 
 } // namespace robust

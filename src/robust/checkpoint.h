@@ -1,37 +1,27 @@
 /**
  * @file
- * Append-only campaign checkpoint journal.
+ * Campaign checkpoint: a shard -> payload view over a
+ * robust::Journal (robust/journal.h holds the on-disk format, the
+ * verified load and the durability contract).
  *
  * A CampaignRunner journals every completed shard here so an
  * interrupted campaign can resume without recomputing (and, because
  * shard payloads are deterministic, without changing a single output
- * byte).  The on-disk format follows the same c-blosc2 super-chunk
- * discipline as service/cache.cpp — append-only, verify on open,
- * drop the torn tail:
- *
- *   header  8 B magic "TQANCKv1", u32 version (1), u32 reserved (0)
- *   entry   u64 shard, u32 payLen,
- *           u64 checksum = fnv1a64(shard LE bytes || payload bytes),
- *           payLen payload bytes
- *
- * All integers little-endian.  A later entry for the same shard wins
- * on load.  The store is UNTRUSTED on open: a foreign/torn header
- * rebuilds the journal empty, and the first short/corrupt entry ends
- * the load — the file is truncated back to the verified prefix so a
- * torn append from a crash can never resurface as a finished shard.
- *
- * Durability: append() writes the entry (write-all, EINTR-safe) and
- * fsyncs before returning.  Once append() returns, that shard
- * survives SIGKILL.  Loads ride the retrying reader in robust/io.h.
+ * byte).  Each journal record is (id = shard, blob = payload); a
+ * later record for the same shard wins on load.  The magic is
+ * "TQANCKv1".
  *
  * Shard id kMetaShard is reserved for the campaign tag: a digest of
  * the campaign's configuration that the runner checks on resume, so
  * a journal from a different campaign is rejected instead of quietly
  * mixing results.
  *
- * Fault probes: ckpt.read (transient load failure, retried),
- * ckpt.append (fail = torn half-written entry; exit = crash before
- * the entry is written), ckpt.fsync.
+ * Error policy: journal errors (unopenable file, failed write or
+ * fsync, oversized payload) propagate to the runner, which fails the
+ * attempt.  A shard is remembered only once its record is durable.
+ *
+ * Fault probes: ckpt.open, ckpt.append, ckpt.fsync (see
+ * robust/journal.h).
  */
 
 #ifndef TQAN_ROBUST_CHECKPOINT_H
@@ -41,36 +31,28 @@
 #include <map>
 #include <string>
 
+#include "robust/journal.h"
+
 namespace tqan {
 namespace robust {
 
 class Checkpoint
 {
   public:
-    struct LoadInfo
-    {
-        std::uint64_t loadedEntries = 0;
-        std::uint64_t droppedBytes = 0;
-        bool rebuilt = false;
-        /** Transient-read retries the load performed. */
-        std::uint64_t retries = 0;
-    };
+    using LoadInfo = Journal::LoadInfo;
 
     /** Disabled journal: enabled() is false, append() is a no-op. */
     Checkpoint() = default;
 
-    /** Open (or create) the journal at `path`; "" = disabled.  Loads
-     * the verified prefix, truncates any corrupt tail, and leaves
-     * the file ready for appends. */
+    /** Open (or create) the journal at `path`; "" = disabled. */
     explicit Checkpoint(std::string path);
 
-    ~Checkpoint();
     Checkpoint(const Checkpoint &) = delete;
     Checkpoint &operator=(const Checkpoint &) = delete;
 
-    bool enabled() const { return fd_ >= 0; }
-    const std::string &path() const { return path_; }
-    const LoadInfo &loadInfo() const { return load_; }
+    bool enabled() const { return journal_.isOpen(); }
+    const std::string &path() const { return journal_.path(); }
+    const LoadInfo &loadInfo() const { return journal_.loadInfo(); }
 
     /** Verified entries loaded on open (shard -> payload). */
     const std::map<std::uint64_t, std::string> &entries() const
@@ -78,9 +60,8 @@ class Checkpoint
         return map_;
     }
 
-    /** Journal one shard: write the entry, fsync, then remember it.
-     * Returns only after the entry is durable.  No-op when
-     * disabled. */
+    /** Journal one shard and remember it.  Returns only after the
+     * entry is durable.  No-op when disabled. */
     void append(std::uint64_t shard, const std::string &payload);
 
     /** Truncate back to a bare header, dropping every entry (a
@@ -88,20 +69,12 @@ class Checkpoint
     void reset();
 
     static constexpr char kMagic[9] = "TQANCKv1";
-    static constexpr std::uint32_t kVersion = 1;
-    /** Cap on one payload: a corrupt length field must not drive a
-     * giant allocation. */
-    static constexpr std::uint32_t kMaxPayload = 1u << 28;
     /** Reserved shard id carrying the campaign tag. */
     static constexpr std::uint64_t kMetaShard = ~0ull;
 
   private:
-    void openStore();
-
-    std::string path_;
+    Journal journal_{kMagic, "ckpt"};
     std::map<std::uint64_t, std::string> map_;
-    LoadInfo load_;
-    int fd_ = -1;
 };
 
 } // namespace robust

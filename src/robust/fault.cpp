@@ -95,12 +95,13 @@ faultSiteNames()
     static const std::vector<std::string> names = {
         "batch.dispatch",  // BatchCompiler worker, per job
         "cache.append",    // CompileCache append (fail = torn write)
+        "cache.fsync",     // CompileCache append fsync
         "cache.lookup",    // CompileCache lookup (fail = forced miss)
         "cache.open",      // CompileCache store read (transient)
         "campaign.shard",  // CampaignRunner, per shard attempt
         "ckpt.append",     // checkpoint append (fail = torn write)
-        "ckpt.fsync",      // checkpoint fsync
-        "ckpt.read",       // checkpoint load read (transient)
+        "ckpt.fsync",      // checkpoint append fsync
+        "ckpt.open",       // checkpoint load read (transient)
         "fuzz.shard",      // runFuzz, per scenario shard
         "service.dispatch", // CompileService dispatcher, per batch
         "service.reader",  // CompileService reader, per line

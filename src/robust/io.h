@@ -1,7 +1,7 @@
 /**
  * @file
- * Retrying POSIX I/O primitives shared by the compile cache and the
- * campaign checkpoint journal.
+ * Retrying POSIX I/O primitives behind robust::Journal (the compile
+ * cache's store and the campaign checkpoint) and the runner's pipes.
  *
  * Durability on this codepath means three things: (1) every write is
  * a write-all loop that survives EINTR and short writes, (2) an

@@ -24,6 +24,7 @@
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
 #include "robust/io.h"
+#include "robust/journal.h"
 
 namespace tqan {
 namespace robust {
@@ -47,38 +48,6 @@ onCampaignSignal(int sig)
     // write() is the only async-signal-safe way to say this.
     ssize_t ignored = ::write(2, msg, sizeof msg - 1);
     (void)ignored;
-}
-
-void
-putU32(std::string &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
 }
 
 struct Attempt

@@ -1,166 +1,43 @@
 #include "service/cache.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/hash.h"
 #include "robust/fault.h"
-#include "robust/io.h"
 
 namespace tqan {
 namespace service {
 
 constexpr char CompileCache::kMagic[9];
-constexpr std::uint32_t CompileCache::kVersion;
-constexpr std::uint32_t CompileCache::kMaxBlob;
 
-namespace {
-
-constexpr std::size_t kHeaderSize = 8 + 4 + 4;
-constexpr std::size_t kEntryHead = 8 + 4 + 4 + 8;
-
-void
-putU32(std::string &buf, std::uint32_t v)
+CompileCache::CompileCache(std::string path)
 {
-    for (int i = 0; i < 4; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::string
-headerBytes()
-{
-    std::string h(CompileCache::kMagic, 8);
-    putU32(h, CompileCache::kVersion);
-    putU32(h, 0);
-    return h;
-}
-
-} // namespace
-
-CompileCache::CompileCache(std::string path) : path_(std::move(path))
-{
-    if (!path_.empty())
-        openStore();
-}
-
-CompileCache::~CompileCache()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-CompileCache::openStore()
-{
-    std::string data;
-    robust::readFileRetry(path_, &data, "cache.open",
-                          &load_.retries);
-
-    std::size_t good = 0;  // verified prefix length
-    if (data.size() >= kHeaderSize &&
-        std::memcmp(data.data(), kMagic, 8) == 0 &&
-        getU32(reinterpret_cast<const unsigned char *>(data.data()) +
-               8) == kVersion) {
-        good = kHeaderSize;
-        std::size_t at = kHeaderSize;
-        while (at + kEntryHead <= data.size()) {
-            const unsigned char *p =
-                reinterpret_cast<const unsigned char *>(data.data()) +
-                at;
-            std::uint64_t key = getU64(p);
-            std::uint32_t reqLen = getU32(p + 8);
-            std::uint32_t payLen = getU32(p + 12);
-            std::uint64_t sum = getU64(p + 16);
-            if (reqLen > kMaxBlob || payLen > kMaxBlob)
-                break;
-            std::size_t need =
-                kEntryHead + std::size_t(reqLen) + payLen;
-            if (at + need > data.size())
-                break;  // truncated tail
-            const char *req = data.data() + at + kEntryHead;
-            const char *pay = req + reqLen;
-            std::uint64_t want = core::fnv1a64(
-                pay, payLen, core::fnv1a64(req, reqLen));
-            if (want != sum)
-                break;  // corrupt entry
-            std::string reqStr(req, reqLen);
-            if (core::fnv1a64(reqStr) != key)
-                break;  // key is not the content address
-            map_[key] = Entry{std::move(reqStr),
-                              std::string(pay, payLen)};
-            at += need;
-            good = at;
-            ++load_.loadedEntries;
-        }
-        load_.droppedBytes = data.size() - good;
-    } else if (!data.empty()) {
-        load_.rebuilt = true;  // foreign or torn header: start over
-        map_.clear();
-        load_.loadedEntries = 0;
-    }
-
-    if (good == 0) {
-        // Fresh or rebuilt store: write a clean header and make it
-        // durable before the first append can land behind it.
-        fd_ = ::open(path_.c_str(),
-                     O_WRONLY | O_CREAT | O_APPEND | O_TRUNC, 0644);
-        if (fd_ >= 0) {
-            std::string h = headerBytes();
-            robust::writeAll(fd_, h.data(), h.size());
-            robust::fsyncRetry(fd_);
-        }
-    } else {
-        if (good < data.size() &&
-            ::truncate(path_.c_str(), static_cast<off_t>(good)) !=
-                0) {
-            // Could not truncate (read-only fs?): rewrite the
-            // verified prefix instead.
-            int rw = ::open(path_.c_str(), O_WRONLY | O_TRUNC, 0644);
-            if (rw >= 0) {
-                robust::writeAll(rw, data.data(), good);
-                robust::fsyncRetry(rw);
-                ::close(rw);
-            }
-        }
-        fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND,
-                     0644);
-    }
-    if (fd_ < 0)
+    if (path.empty())
+        return;
+    try {
+        journal_.open(path, [this](std::uint64_t key,
+                                    std::string_view blob) {
+            if (blob.size() < 4)
+                return false;
+            std::uint32_t reqLen = robust::getU32(
+                reinterpret_cast<const unsigned char *>(blob.data()));
+            if (reqLen > blob.size() - 4)
+                return false;
+            std::string_view req = blob.substr(4, reqLen);
+            if (core::fnv1a64(req.data(), req.size()) != key)
+                return false;  // key is not the content address
+            map_[key] = Entry{std::string(req),
+                              std::string(blob.substr(4 + reqLen))};
+            return true;
+        });
+    } catch (const std::exception &ex) {
         // Degrade to in-memory-only rather than refuse to serve.
         std::fprintf(stderr,
-                     "tqan: cache store %s not writable (%s); "
-                     "running in-memory only\n",
-                     path_.c_str(), std::strerror(errno));
+                     "tqan: cache store %s not usable (%s); running "
+                     "in-memory only\n",
+                     path.c_str(), ex.what());
+    }
 }
 
 bool
@@ -188,12 +65,17 @@ CompileCache::insert(std::uint64_t key, const std::string &request,
     if (it != map_.end() && it->second.request == request &&
         it->second.payload == payload)
         return;
-    Entry e{request, payload};
-    if (fd_ >= 0) {
+    if (journal_.isOpen()) {
         try {
-            appendLocked(key, e);
+            std::string blob;
+            blob.reserve(4 + request.size() + payload.size());
+            robust::putU32(blob,
+                           static_cast<std::uint32_t>(request.size()));
+            blob += request;
+            blob += payload;
+            journal_.append(key, blob);
         } catch (const std::exception &ex) {
-            // The entry stays served from memory; the torn tail is
+            // The entry stays served from memory; a torn tail is
             // dropped by the next open's verified-prefix load.
             std::fprintf(stderr,
                          "tqan: cache append failed (%s); entry "
@@ -201,36 +83,7 @@ CompileCache::insert(std::uint64_t key, const std::string &request,
                          ex.what());
         }
     }
-    map_[key] = std::move(e);
-}
-
-void
-CompileCache::appendLocked(std::uint64_t key, const Entry &e)
-{
-    std::string buf;
-    buf.reserve(kEntryHead + e.request.size() + e.payload.size());
-    putU64(buf, key);
-    putU32(buf, static_cast<std::uint32_t>(e.request.size()));
-    putU32(buf, static_cast<std::uint32_t>(e.payload.size()));
-    putU64(buf, core::fnv1a64(e.payload.data(), e.payload.size(),
-                              core::fnv1a64(e.request.data(),
-                                            e.request.size())));
-    buf += e.request;
-    buf += e.payload;
-
-    if (robust::faultPoint("cache.append")) {
-        // Injected torn write: leave half the entry on disk, exactly
-        // what a crash mid-append produces.  The next open must drop
-        // it and the entry must recompile identically.
-        robust::writeAll(fd_, buf.data(), buf.size() / 2);
-        throw std::runtime_error(
-            "injected fault: cache.append (torn write)");
-    }
-    // The durability handshake: write the whole entry, then fsync
-    // before the insert is acknowledged.  An interrupted append
-    // leaves a short tail that the next open verifies away.
-    robust::writeAll(fd_, buf.data(), buf.size());
-    robust::fsyncRetry(fd_);
+    map_[key] = Entry{request, payload};
 }
 
 std::size_t

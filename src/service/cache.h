@@ -1,43 +1,35 @@
 /**
  * @file
- * Content-addressed compile cache with an append-only on-disk store.
+ * Content-addressed compile cache: a key -> (request, payload) view
+ * over a robust::Journal (robust/journal.h holds the on-disk format,
+ * the verified load and the durability contract).
  *
  * The CompileService keys each compile result by the FNV-1a hash of
  * its canonicalized request (service.h); this class holds the
  * key -> (request, payload) map and, when given a path, persists it
- * across restarts.  The on-disk format follows the c-blosc2
- * super-chunk discipline (append-only persisted chunks, verify on
- * open, one lock per context under multithreaded load):
+ * across restarts.  Each journal record is
  *
- *   header  8 B magic "TQANCSv1", u32 version (1), u32 reserved (0)
- *   entry   u64 key, u32 reqLen, u32 payLen,
- *           u64 checksum = fnv1a64(request bytes || payload bytes),
- *           reqLen request bytes, payLen payload bytes
+ *   id    key
+ *   blob  u32 reqLen (LE), reqLen request bytes, payload bytes
  *
- * All integers little-endian.  Entries are only ever appended; a
- * later entry for the same key wins on load.  The store is
- * UNTRUSTED on open: a bad magic/version empties the cache and
- * rewrites the header, and the first entry whose bytes are short,
- * whose checksum mismatches, or whose key is not the hash of its
- * request ends the load — everything from that offset on is dropped
- * and the file truncated back to the verified prefix (a torn append
- * from a crash must never be served).  Collisions cannot be served
- * either: lookup compares the stored request bytes, not just the
- * key.
+ * under the magic "TQANCSv2".  A later record for the same key wins
+ * on load.  Content addressing is checked twice: a record whose key
+ * is not fnv1a64(request) ends the load like a checksum failure, and
+ * lookup compares the stored request bytes, not just the key, so a
+ * collision can miss but never serve another request's payload.  A
+ * store in the older "TQANCSv1" layout opens as rebuilt (empty, fresh
+ * header); its entries recompile to the same bytes.
  *
- * Durability: an append is written (write-all, EINTR-safe) and
- * fsynced before insert() returns, so an acknowledged entry survives
- * SIGKILL.  Loads ride the retrying reader in robust/io.h (EINTR /
- * short-read / transient-error loops, counted in LoadInfo.retries).
- * A failed append degrades to in-memory-only for that entry — the
- * cache keeps serving; the torn tail is dropped on the next open.
+ * Error policy: the cache keeps serving.  A store that cannot be
+ * opened degrades to in-memory only; a failed, refused (over the
+ * journal's blob cap) or unsynced append keeps that entry in memory
+ * only, and any torn tail is dropped on the next open.
  *
- * Fault probes: cache.open (transient load failure, retried),
- * cache.append (fail = torn half-written entry), cache.lookup
- * (fail = forced miss; the entry recompiles and re-inserts
- * identically).
+ * Fault probes: cache.open, cache.append, cache.fsync (see
+ * robust/journal.h), and cache.lookup (fail = forced miss; the entry
+ * recompiles and re-inserts identically).
  *
- * Thread-safe: one mutex guards the map and the append fd.
+ * Thread-safe: one mutex guards the map and the journal.
  */
 
 #ifndef TQAN_SERVICE_CACHE_H
@@ -48,6 +40,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "robust/journal.h"
+
 namespace tqan {
 namespace service {
 
@@ -56,25 +50,13 @@ class CompileCache
   public:
     /** Load tallies of the most recent open (for --stats and the
      * corruption tests). */
-    struct LoadInfo
-    {
-        std::uint64_t loadedEntries = 0;
-        /** Bytes dropped from an unverifiable tail (0 on a clean
-         * open; the header of a rebuilt file does not count). */
-        std::uint64_t droppedBytes = 0;
-        /** True when the header was missing/foreign and the store
-         * was rebuilt empty. */
-        bool rebuilt = false;
-        /** Transient-read retries the load performed. */
-        std::uint64_t retries = 0;
-    };
+    using LoadInfo = robust::Journal::LoadInfo;
 
     /** Empty path = in-memory only.  Opening loads the verified
      * prefix of an existing store, truncates any corrupt tail, and
      * leaves the file ready for appends. */
     explicit CompileCache(std::string path = "");
 
-    ~CompileCache();
     CompileCache(const CompileCache &) = delete;
     CompileCache &operator=(const CompileCache &) = delete;
 
@@ -90,15 +72,11 @@ class CompileCache
                 const std::string &payload);
 
     std::size_t size() const;
-    const std::string &path() const { return path_; }
-    const LoadInfo &loadInfo() const { return load_; }
+    const std::string &path() const { return journal_.path(); }
+    const LoadInfo &loadInfo() const { return journal_.loadInfo(); }
 
-    /** On-disk format tags (shared with the tests). */
-    static constexpr char kMagic[9] = "TQANCSv1";
-    static constexpr std::uint32_t kVersion = 1;
-    /** Sanity cap on a single stored request/payload (a length field
-     * from a corrupt file must not drive a giant allocation). */
-    static constexpr std::uint32_t kMaxBlob = 1u << 28;
+    /** Journal magic of the current store layout. */
+    static constexpr char kMagic[9] = "TQANCSv2";
 
   private:
     struct Entry
@@ -107,14 +85,9 @@ class CompileCache
         std::string payload;
     };
 
-    void openStore();  // load + truncate-to-verified + open appender
-    void appendLocked(std::uint64_t key, const Entry &e);
-
     mutable std::mutex mu_;
-    std::string path_;
     std::unordered_map<std::uint64_t, Entry> map_;
-    int fd_ = -1;  ///< append fd; -1 = in-memory only
-    LoadInfo load_;
+    robust::Journal journal_{kMagic, "cache"};
 };
 
 } // namespace service

@@ -11,6 +11,7 @@
 #include "device/noise_map.h"
 #include "ham/trotter.h"
 #include "robust/fault.h"
+#include "robust/journal.h"
 #include "verify/mutate.h"
 #include "verify/reference.h"
 
@@ -188,19 +189,8 @@ struct CaseResult
  */
 constexpr char kPayloadMagic[] = "FZS2";
 
-void
-putU32(std::string &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
+using robust::putU32;
+using robust::putU64;
 
 void
 putStr(std::string &buf, const std::string &s)
@@ -219,26 +209,15 @@ struct PayloadReader
         if (at + n > buf.size())
             throw std::runtime_error("fuzz shard payload truncated");
     }
-    std::uint32_t u32()
+    const unsigned char *take(std::size_t n)
     {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 3; i >= 0; --i)
-            v = (v << 8) |
-                static_cast<unsigned char>(buf[at + i]);
-        at += 4;
-        return v;
+        need(n);
+        at += n;
+        return reinterpret_cast<const unsigned char *>(buf.data()) +
+               at - n;
     }
-    std::uint64_t u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i)
-            v = (v << 8) |
-                static_cast<unsigned char>(buf[at + i]);
-        at += 8;
-        return v;
-    }
+    std::uint32_t u32() { return robust::getU32(take(4)); }
+    std::uint64_t u64() { return robust::getU64(take(8)); }
     std::string str()
     {
         std::uint32_t n = u32();

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/hash.h"
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
 
@@ -216,10 +217,60 @@ TEST(Checkpoint, TransientReadFaultIsRetriedAndCounted)
         Checkpoint c(path);
         c.append(0, "payload");
     }
-    robust::setFaultPlan(robust::parseFaultPlan("ckpt.read:1:fail"));
+    robust::setFaultPlan(robust::parseFaultPlan("ckpt.open:1:fail"));
     Checkpoint c(path);
     robust::clearFaultPlan();
     EXPECT_GE(c.loadInfo().retries, 1u);
     EXPECT_EQ(c.entries().at(0), "payload");
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ParentFormatJournalLoadsAndIsWrittenByteIdentically)
+{
+    // A "TQANCKv1" journal spelled out byte by byte: header (magic,
+    // u32 version 1, u32 reserved 0), then per entry u64 shard,
+    // u32 payLen, u64 fnv1a64(shard LE bytes || payload), payload.
+    auto le = [](std::uint64_t v, int n) {
+        std::string s;
+        for (int i = 0; i < n; ++i)
+            s += static_cast<char>((v >> (8 * i)) & 0xff);
+        return s;
+    };
+    auto entry = [&](std::uint64_t shard, const std::string &pay) {
+        std::string id = le(shard, 8);
+        return id + le(pay.size(), 4) +
+               le(core::fnv1a64(pay.data(), pay.size(),
+                                core::fnv1a64(id)),
+                  8) +
+               pay;
+    };
+    std::string bytes = std::string("TQANCKv1", 8) + le(1, 4) +
+                        le(0, 4) + entry(Checkpoint::kMetaShard, "tag") +
+                        entry(0, "shard-zero") + entry(5, "") +
+                        entry(0, "shard-zero-again");
+    std::string path = tempPath("parent_format");
+    writeBytes(path, bytes);
+    {
+        Checkpoint c(path);
+        EXPECT_FALSE(c.loadInfo().rebuilt);
+        EXPECT_EQ(c.loadInfo().loadedEntries, 4u);
+        EXPECT_EQ(c.loadInfo().droppedBytes, 0u);
+        ASSERT_EQ(c.entries().size(), 3u);
+        EXPECT_EQ(c.entries().at(Checkpoint::kMetaShard), "tag");
+        EXPECT_EQ(c.entries().at(0), "shard-zero-again");
+        EXPECT_EQ(c.entries().at(5), "");
+    }
+    EXPECT_EQ(fileBytes(path), bytes);  // a clean open writes nothing
+
+    // And a fresh journal writes exactly those bytes.
+    std::remove(path.c_str());
+    {
+        Checkpoint c(path);
+        c.append(Checkpoint::kMetaShard, "tag");
+        c.append(0, "shard-zero");
+        c.append(5, "");
+        c.append(0, "shard-zero-again");
+    }
+    EXPECT_EQ(fileBytes(path), bytes);
     std::remove(path.c_str());
 }

@@ -32,12 +32,12 @@ struct PlanGuard
 TEST(FaultPlan, ParsesClausesAndDefaultsToThrow)
 {
     FaultPlan p = parseFaultPlan(
-        "cache.append:3:exit,ckpt.read:1:fail,fuzz.shard:2");
+        "cache.append:3:exit,ckpt.open:1:fail,fuzz.shard:2");
     ASSERT_EQ(p.clauses.size(), 3u);
     EXPECT_EQ(p.clauses[0].site, "cache.append");
     EXPECT_EQ(p.clauses[0].nth, 3u);
     EXPECT_EQ(p.clauses[0].action, FaultAction::Exit);
-    EXPECT_EQ(p.clauses[1].site, "ckpt.read");
+    EXPECT_EQ(p.clauses[1].site, "ckpt.open");
     EXPECT_EQ(p.clauses[1].action, FaultAction::Fail);
     EXPECT_EQ(p.clauses[2].nth, 2u);
     EXPECT_EQ(p.clauses[2].action, FaultAction::Throw);
@@ -60,7 +60,7 @@ TEST(FaultPlan, RejectsMalformedClauses)
                  std::invalid_argument);  // nth is 1-based
     EXPECT_THROW(parseFaultPlan("cache.append:1:explode"),
                  std::invalid_argument);
-    EXPECT_THROW(parseFaultPlan("cache.append:1,,ckpt.read:1"),
+    EXPECT_THROW(parseFaultPlan("cache.append:1,,ckpt.open:1"),
                  std::invalid_argument);
 }
 
@@ -70,9 +70,9 @@ TEST(FaultPlan, SiteRegistryIsSortedAndCoversTheHotSpots)
     EXPECT_TRUE(
         std::is_sorted(names.begin(), names.end()));
     for (const char *site :
-         {"batch.dispatch", "cache.append", "cache.lookup",
-          "cache.open", "campaign.shard", "ckpt.append",
-          "ckpt.fsync", "ckpt.read", "fuzz.shard",
+         {"batch.dispatch", "cache.append", "cache.fsync",
+          "cache.lookup", "cache.open", "campaign.shard",
+          "ckpt.append", "ckpt.fsync", "ckpt.open", "fuzz.shard",
           "service.dispatch", "service.reader", "service.writer",
           "sweep.shard"})
         EXPECT_NE(std::find(names.begin(), names.end(), site),
@@ -132,8 +132,8 @@ TEST(FaultPoint, SitesCountIndependently)
 {
     PlanGuard guard;
     setFaultPlan(
-        parseFaultPlan("cache.lookup:2:fail,ckpt.read:1:fail"));
-    EXPECT_TRUE(faultPoint("ckpt.read"));
+        parseFaultPlan("cache.lookup:2:fail,ckpt.open:1:fail"));
+    EXPECT_TRUE(faultPoint("ckpt.open"));
     EXPECT_FALSE(faultPoint("cache.lookup"));
     EXPECT_TRUE(faultPoint("cache.lookup"));
 }

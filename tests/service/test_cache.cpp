@@ -184,11 +184,17 @@ TEST(CompileCache, WrongKeyForContentIsRejectedOnLoad)
         CompileCache c(path);
         put(c, "req-1", "pay-1");
     }
-    // Flip a key bit but fix nothing else: lengths and checksum
-    // still verify, yet key != fnv1a64(request) — load must drop it
-    // (the key IS the content address).
+    // Flip a key bit and recompute the record checksum (it covers
+    // the key): lengths and checksum still verify, yet key !=
+    // fnv1a64(request) — load must drop it (the key IS the content
+    // address).
     std::string bytes = fileBytes(path);
     bytes[16] ^= 0x01;  // first key byte, right after the header
+    std::uint64_t sum =
+        core::fnv1a64(bytes.data() + 36, bytes.size() - 36,
+                      core::fnv1a64(bytes.data() + 16, 8));
+    for (int i = 0; i < 8; ++i)  // u64 checksum at offset 28
+        bytes[28 + i] = static_cast<char>((sum >> (8 * i)) & 0xff);
     writeBytes(path, bytes);
     CompileCache c(path);
     EXPECT_EQ(c.size(), 0u);
@@ -289,5 +295,59 @@ TEST(CompileCache, LaterEntryForSameKeyWinsOnLoad)
     std::string pay;
     ASSERT_TRUE(get(c, "req-1", &pay));
     EXPECT_EQ(pay, "pay-new");
+    std::remove(path.c_str());
+}
+
+TEST(CompileCache, InjectedFsyncFaultKeepsTheEntryServedFromMemory)
+{
+    std::string path = tempPath("fsync");
+    std::remove(path.c_str());
+    CompileCache c(path);
+    robust::setFaultPlan(robust::parseFaultPlan("cache.fsync:1"));
+    put(c, "req-1", "pay-1");  // must not throw
+    robust::clearFaultPlan();
+    std::string pay;
+    ASSERT_TRUE(get(c, "req-1", &pay));
+    EXPECT_EQ(pay, "pay-1");
+    EXPECT_EQ(c.size(), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(CompileCache, VersionOneStoreOpensRebuiltAndThenRoundTrips)
+{
+    // A store in the previous layout: "TQANCSv1" header, then
+    // u64 key, u32 reqLen, u32 payLen,
+    // u64 fnv1a64(request || payload), request, payload.
+    auto le = [](std::uint64_t v, int n) {
+        std::string s;
+        for (int i = 0; i < n; ++i)
+            s += static_cast<char>((v >> (8 * i)) & 0xff);
+        return s;
+    };
+    std::string req = "req-1", pay = "pay-1";
+    std::string v1 = std::string("TQANCSv1", 8) + le(1, 4) + le(0, 4) +
+                     le(core::fnv1a64(req), 8) + le(req.size(), 4) +
+                     le(pay.size(), 4) +
+                     le(core::fnv1a64(pay.data(), pay.size(),
+                                      core::fnv1a64(req)),
+                        8) +
+                     req + pay;
+    std::string path = tempPath("v1");
+    writeBytes(path, v1);
+    {
+        CompileCache c(path);
+        EXPECT_TRUE(c.loadInfo().rebuilt);
+        EXPECT_EQ(c.size(), 0u);
+        std::string got;
+        EXPECT_FALSE(get(c, req, &got));
+        put(c, "req-2", "pay-2");  // the rebuilt store accepts inserts
+    }
+    CompileCache again(path);
+    EXPECT_FALSE(again.loadInfo().rebuilt);
+    EXPECT_EQ(again.loadInfo().droppedBytes, 0u);
+    EXPECT_EQ(again.size(), 1u);
+    std::string got;
+    ASSERT_TRUE(get(again, "req-2", &got));
+    EXPECT_EQ(got, "pay-2");
     std::remove(path.c_str());
 }
