@@ -113,16 +113,16 @@ main(int argc, char **argv)
             runConfig("full_2QAN", base, f, n);
 
             core::CompilerOptions o1 = base;
-            o1.mapper = core::MapperKind::Anneal;
+            o1.mapper = "anneal";
             runConfig("mapper_anneal", o1, f, n);
             core::CompilerOptions o2 = base;
-            o2.mapper = core::MapperKind::Greedy;
+            o2.mapper = "greedy";
             runConfig("mapper_greedy", o2, f, n);
             core::CompilerOptions o3 = base;
-            o3.mapper = core::MapperKind::Line;
+            o3.mapper = "line";
             runConfig("mapper_line", o3, f, n);
             core::CompilerOptions o4 = base;
-            o4.mapper = core::MapperKind::Identity;
+            o4.mapper = "identity";
             runConfig("mapper_identity", o4, f, n);
 
             core::CompilerOptions o5 = base;

@@ -46,22 +46,23 @@ main()
     std::printf("%-22s %6s %8s %8s %8s\n", "configuration", "swaps",
                 "dressed", "iSWAPs", "depth2q");
 
-    for (auto mk : {core::MapperKind::Tabu, core::MapperKind::Anneal,
-                    core::MapperKind::Greedy,
-                    core::MapperKind::Line}) {
+    const struct
+    {
+        const char *mapper;
+        const char *label;
+    } strategies[] = {{"tabu", "2QAN (tabu QAP)"},
+                      {"anneal", "2QAN (annealed QAP)"},
+                      {"greedy", "2QAN (greedy place)"},
+                      {"line", "2QAN (line place)"}};
+    for (const auto &s : strategies) {
         core::CompilerOptions opt;
-        opt.mapper = mk;
+        opt.mapper = s.mapper;
         opt.seed = 99;
         core::TqanCompiler comp(topo, opt);
         auto res = comp.compile(step);
         auto m = core::computeMetrics(res.sched, step,
                                       device::GateSet::ISwap);
-        const char *name =
-            mk == core::MapperKind::Tabu     ? "2QAN (tabu QAP)"
-            : mk == core::MapperKind::Anneal ? "2QAN (annealed QAP)"
-            : mk == core::MapperKind::Greedy ? "2QAN (greedy place)"
-                                             : "2QAN (line place)";
-        std::printf("%-22s %6d %8d %8d %8d\n", name, m.swaps,
+        std::printf("%-22s %6d %8d %8d %8d\n", s.label, m.swaps,
                     m.dressed, m.native2q, m.depth2q);
     }
 

@@ -1,15 +1,13 @@
 #include "core/backend.h"
 
-#include <algorithm>
 #include <chrono>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "baseline/ic_qaoa.h"
 #include "baseline/paulihedral_like.h"
 #include "baseline/sabre.h"
 #include "baseline/tket_like.h"
+#include "core/registry.h"
 #include "decomp/pass.h"
 
 namespace tqan {
@@ -234,93 +232,36 @@ class PaulihedralBackend : public CompilerBackend
     }
 };
 
-struct Registry
+const Registry<CompilerBackend> &
+backends()
 {
-    std::mutex mu;
-    std::map<std::string, BackendFactory> factories;
-    std::map<std::string, std::unique_ptr<CompilerBackend>> instances;
-};
-
-Registry &
-registry()
-{
-    static Registry *r = []() {
-        auto *init = new Registry;
-        init->factories["2qan"] = []() {
-            return std::unique_ptr<CompilerBackend>(new TqanBackend);
-        };
-        init->factories["2qan_rrr"] = []() {
-            return std::unique_ptr<CompilerBackend>(
-                new TqanRrrBackend);
-        };
-        init->factories["qiskit_sabre"] = []() {
-            return std::unique_ptr<CompilerBackend>(new SabreBackend);
-        };
-        init->factories["tket_like"] = []() {
-            return std::unique_ptr<CompilerBackend>(
-                new TketLikeBackend);
-        };
-        init->factories["ic_qaoa"] = []() {
-            return std::unique_ptr<CompilerBackend>(new IcQaoaBackend);
-        };
-        init->factories["paulihedral_like"] = []() {
-            return std::unique_ptr<CompilerBackend>(
-                new PaulihedralBackend);
-        };
-        return init;
-    }();
-    return *r;
+    static const auto table =
+        Registry<CompilerBackend>::of<TqanBackend, TqanRrrBackend,
+                                      SabreBackend, TketLikeBackend,
+                                      IcQaoaBackend,
+                                      PaulihedralBackend>(
+            "compiler backend");
+    return table;
 }
 
 } // namespace
 
 bool
-registerBackend(const std::string &name, BackendFactory factory)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.factories.emplace(name, std::move(factory)).second;
-}
-
-bool
 hasBackend(const std::string &name)
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.factories.count(name) != 0;
+    return backends().has(name);
 }
 
 const CompilerBackend &
 backendByName(const std::string &name)
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto inst = r.instances.find(name);
-    if (inst != r.instances.end())
-        return *inst->second;
-    auto it = r.factories.find(name);
-    if (it == r.factories.end()) {
-        std::string known;
-        for (const auto &kv : r.factories)
-            known += (known.empty() ? "" : ", ") + kv.first;
-        throw std::invalid_argument("unknown compiler backend '" +
-                                    name + "' (registered: " + known +
-                                    ")");
-    }
-    auto &slot = r.instances[name];
-    slot = it->second();
-    return *slot;
+    return backends().get(name);
 }
 
 std::vector<std::string>
 backendNames()
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<std::string> names;
-    for (const auto &kv : r.factories)
-        names.push_back(kv.first);
-    return names;
+    return backends().names();
 }
 
 } // namespace core

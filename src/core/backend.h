@@ -11,16 +11,15 @@
  * the schedule; dependency-respecting baselines get the
  * FullPeepholeOptimise-style same-pair merging before counting).
  *
- * Backends live in a process-wide registry keyed by name, so bench
- * harnesses and tools select compilers with a string instead of
- * per-compiler branching.
+ * Backends live in one immutable core::Registry (core/registry.h)
+ * keyed by name, so bench harnesses and tools select compilers with
+ * a string instead of per-compiler branching.  A new backend is one
+ * more entry in the table in backend.cpp.
  */
 
 #ifndef TQAN_CORE_BACKEND_H
 #define TQAN_CORE_BACKEND_H
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,12 +96,6 @@ class CompilerBackend
                                        const qcir::Circuit &step,
                                        device::GateSet gs) const;
 };
-
-using BackendFactory =
-    std::function<std::unique_ptr<CompilerBackend>()>;
-
-/** Register a backend under a unique name; false if taken. */
-bool registerBackend(const std::string &name, BackendFactory factory);
 
 bool hasBackend(const std::string &name);
 

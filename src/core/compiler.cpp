@@ -1,44 +1,12 @@
 #include "core/compiler.h"
 
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "core/passes.h"
-#include "qap/mapper.h"
 
 namespace tqan {
 namespace core {
-
-namespace {
-
-/** Registry names of the MapperKind values, in enum order. */
-const char *const kMapperKindNames[] = {"tabu", "anneal", "greedy",
-                                        "line", "identity"};
-
-} // namespace
-
-std::string
-mapperKindName(MapperKind kind)
-{
-    auto i = static_cast<size_t>(kind);
-    if (i >= std::size(kMapperKindNames))
-        throw std::invalid_argument("mapperKindName: bad kind");
-    return kMapperKindNames[i];
-}
-
-MapperKind
-mapperKindByName(const std::string &name)
-{
-    for (size_t i = 0; i < std::size(kMapperKindNames); ++i)
-        if (name == kMapperKindNames[i])
-            return static_cast<MapperKind>(i);
-    std::string known;
-    for (const auto &n : qap::mapperNames())
-        known += (known.empty() ? "" : " | ") + n;
-    throw std::invalid_argument("unknown mapper '" + name +
-                                "' (expected " + known + ")");
-}
 
 TqanCompiler::TqanCompiler(device::Topology topo, CompilerOptions opt)
     : topo_(std::move(topo)), opt_(opt)
@@ -51,8 +19,7 @@ TqanCompiler::buildPipeline() const
     PassManager pm;
     if (opt_.unifyCircuit)
         pm.add(makeUnifyPass());
-    pm.add(makeMappingPass(mapperKindName(opt_.mapper),
-                           opt_.mapperTrials, opt_.tabu));
+    pm.add(makeMappingPass(opt_.mapper, opt_.mapperTrials, opt_.tabu));
     pm.add(makeRoutingPass(opt_.router));
     pm.add(makeSchedulingPass(opt_.hybridSchedule));
     return pm;

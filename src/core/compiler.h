@@ -7,10 +7,11 @@
  * independent of the hardware gate set.
  *
  * The pipeline is assembled from core/passes.h building blocks and
- * executed by a PassManager (core/pass.h); the mapper stage is a
- * pluggable qap::Mapper registry strategy.  TqanCompiler is the
- * convenience front end that wires the standard pipeline from
- * CompilerOptions.
+ * executed by a PassManager (core/pass.h); the mapper and router
+ * stages are strategies picked by name (CompilerOptions::mapper,
+ * CompilerOptions::router.name) from their core::Registry tables
+ * (core/registry.h).  TqanCompiler is the convenience front end that
+ * wires the standard pipeline from CompilerOptions.
  */
 
 #ifndef TQAN_CORE_COMPILER_H
@@ -30,25 +31,13 @@
 namespace tqan {
 namespace core {
 
-/** Initial-placement strategy (Tabu is the paper's choice). */
-enum class MapperKind {
-    Tabu,      ///< QAP via tabu search (paper Sec. III-A)
-    Anneal,    ///< QAP via simulated annealing (ablation)
-    Greedy,    ///< greedy subgraph placement (ablation)
-    Line,      ///< line placement (ablation)
-    Identity,  ///< trivial placement (ablation)
-};
-
-/** Registry name of a built-in mapper kind ("tabu", "anneal", ...). */
-std::string mapperKindName(MapperKind kind);
-
-/** Inverse of mapperKindName().
- * @throws std::invalid_argument naming the registered mappers */
-MapperKind mapperKindByName(const std::string &name);
-
 struct CompilerOptions
 {
-    MapperKind mapper = MapperKind::Tabu;
+    /** Initial-placement strategy, by qap::Mapper registry name:
+     * "tabu" (the paper's QAP, Sec. III-A) or one of the ablation
+     * alternatives "anneal", "greedy", "line", "identity".  An
+     * unknown name makes compile() throw std::invalid_argument. */
+    std::string mapper = "tabu";
     /** Randomized mapping trials; the paper uses 5 and keeps the
      * best. */
     int mapperTrials = 5;

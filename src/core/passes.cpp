@@ -39,7 +39,7 @@ class MappingPass : public Pass
         req.trials = trials_;
         req.jobs = ctx.jobs;
         req.tabu = tabu_;
-        ctx.placement = qap::makeMapper(mapper_)->map(req);
+        ctx.placement = qap::mapperByName(mapper_).map(req);
     }
 
   private:

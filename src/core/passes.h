@@ -34,11 +34,11 @@ std::unique_ptr<Pass> makeUnifyPass();
 
 /**
  * Initial placement through the qap::Mapper registry strategy
- * `mapper` ("tabu", "anneal", "greedy", "line", "identity", or any
- * name registered via qap::registerMapper).  Randomized strategies
- * derive per-trial seeds from the context seed and run their trials
- * on up to CompileContext::jobs threads; the result is independent of
- * the thread count.
+ * `mapper` ("tabu", "anneal", "greedy", "line" or "identity"; see
+ * qap::mapperNames()).  Randomized strategies derive per-trial seeds
+ * from the context seed and run their trials on up to
+ * CompileContext::jobs threads; the result is independent of the
+ * thread count.
  */
 std::unique_ptr<Pass>
 makeMappingPass(std::string mapper, int trials = 5,
@@ -47,9 +47,8 @@ makeMappingPass(std::string mapper, int trials = 5,
 /**
  * Routing through the core::Router registry strategy `opt.name`
  * ("greedy" is the paper's Algorithm 1, "rrr" the negotiated-
- * congestion ripup-and-reroute router, or any name registered via
- * core::registerRouter).  Dressed-SWAP merging is applied when
- * `opt.unifySwaps`.
+ * congestion ripup-and-reroute router; see core::routerNames()).
+ * Dressed-SWAP merging is applied when `opt.unifySwaps`.
  */
 std::unique_ptr<Pass> makeRoutingPass(RouterOptions opt = {});
 

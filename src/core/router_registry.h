@@ -1,9 +1,11 @@
 /**
  * @file
- * Pluggable routing strategies behind a process-wide registry, the
- * same shape as the mapper (qap/mapper.h) and backend
- * (core/backend.h) registries: a Router turns a placed step circuit
- * into a RoutingResult, and callers select one with a string.
+ * Pluggable routing strategies in one immutable core::Registry
+ * (core/registry.h), the same table shape as the mappers
+ * (qap/mapper.h) and backends (core/backend.h): a Router turns a
+ * placed step circuit into a RoutingResult, and callers select one
+ * with a string.  A new router is one more entry in the table in
+ * router_registry.cpp.
  *
  * Built-ins:
  *   greedy - the paper's Algorithm 1 permutation-aware router
@@ -19,8 +21,6 @@
 #ifndef TQAN_CORE_ROUTER_REGISTRY_H
 #define TQAN_CORE_ROUTER_REGISTRY_H
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +48,8 @@ struct RouteRequest
  * satisfies routingIsValid() for the request's circuit and topology:
  * every two-qubit op appears exactly once (nearest-neighbour in a
  * bucket, or absorbed into a dressed SWAP), and the map chain is
- * consistent with the SWAP list.
+ * consistent with the SWAP list.  Instances are shared by every
+ * compile, so route() must not keep state between calls.
  */
 class Router
 {
@@ -57,11 +58,6 @@ class Router
     virtual std::string name() const = 0;
     virtual RoutingResult route(const RouteRequest &req) const = 0;
 };
-
-using RouterFactory = std::function<std::unique_ptr<Router>()>;
-
-/** Register a router under a unique name; false if taken. */
-bool registerRouter(const std::string &name, RouterFactory factory);
 
 bool hasRouter(const std::string &name);
 

@@ -13,6 +13,7 @@
 #include "core/hash.h"
 #include "core/profile.h"
 #include "core/router_registry.h"
+#include "service/json.h"
 #include "robust/fault.h"
 #include "device/devices.h"
 #include "graph/random_graph.h"
@@ -947,36 +948,17 @@ toCsv(const SweepRow &row)
            std::to_string(row.instance) + buf;
 }
 
-namespace {
-
-std::string
-jsonEscaped(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 toJson(const SweepRow &row)
 {
     const CompilationMetrics &m = row.metrics;
     std::ostringstream os;
-    os << "{\"experiment\":\"" << jsonEscaped(row.experiment)
-       << "\",\"benchmark\":\"" << row.benchmark
-       << "\",\"device\":\"" << row.device << "\",\"gateset\":\""
-       << row.gateset << "\",\"compiler\":\""
-       << jsonEscaped(row.backend) << "\",\"nqubits\":" << row.nqubits
+    os << "{\"experiment\":\"" << service::jsonEscape(row.experiment)
+       << "\",\"benchmark\":\"" << service::jsonEscape(row.benchmark)
+       << "\",\"device\":\"" << service::jsonEscape(row.device)
+       << "\",\"gateset\":\"" << service::jsonEscape(row.gateset)
+       << "\",\"compiler\":\"" << service::jsonEscape(row.backend)
+       << "\",\"nqubits\":" << row.nqubits
        << ",\"instance\":" << row.instance
        << ",\"swaps\":" << m.swaps << ",\"dressed\":" << m.dressed
        << ",\"native2q\":" << m.native2q
@@ -989,7 +971,7 @@ toJson(const SweepRow &row)
        << ",\"mapping_seconds\":" << row.mappingSeconds
        << ",\"routing_seconds\":" << row.routingSeconds
        << ",\"scheduling_seconds\":" << row.schedulingSeconds
-       << ",\"error\":\"" << jsonEscaped(row.error) << "\"}";
+       << ",\"error\":\"" << service::jsonEscape(row.error) << "\"}";
     return os.str();
 }
 
@@ -1378,7 +1360,7 @@ benchJson(const std::string &experiment, const BenchOptions &opt,
 {
     std::ostringstream os;
     os << "{\"schema\":\"tqan-bench-v1\",\"experiment\":\""
-       << jsonEscaped(experiment) << "\",\"warmup\":" << opt.warmup
+       << service::jsonEscape(experiment) << "\",\"warmup\":" << opt.warmup
        << ",\"repeat\":" << opt.repeat << ",\"jobs\":" << jobs
        // ISA the run dispatched to (rows forced to scalar carry it
        // in their backend label); parseBenchJson() skips header
@@ -1406,25 +1388,27 @@ benchRowJson(const BenchRow &b)
                   b.medianSeconds, b.minSeconds, b.maxSeconds,
                   b.mappingSeconds, b.routingSeconds,
                   b.schedulingSeconds);
-    os << "{\"benchmark\":\"" << b.benchmark << "\",\"device\":\""
-       << b.device << "\",\"gateset\":\"" << b.gateset
-       << "\",\"compiler\":\"" << jsonEscaped(b.backend)
+    os << "{\"benchmark\":\"" << service::jsonEscape(b.benchmark)
+       << "\",\"device\":\"" << service::jsonEscape(b.device)
+       << "\",\"gateset\":\"" << service::jsonEscape(b.gateset)
+       << "\",\"compiler\":\"" << service::jsonEscape(b.backend)
        << "\",\"nqubits\":" << b.nqubits
        << ",\"instance\":" << b.instance << "," << nums
        // Quality of the compiled circuit (-1 for sim rows);
        // parseBenchJson() treats both as optional, so bench
        // files written before these fields still parse.
        << ",\"swaps\":" << b.swaps << ",\"depth2q\":" << b.depth2q
-       << ",\"error\":\"" << jsonEscaped(b.error) << "\"}";
+       << ",\"error\":\"" << service::jsonEscape(b.error) << "\"}";
     return os.str();
 }
 
 namespace {
 
 /** Value of "key": in a single-line JSON object written by
- * benchJson(); empty when absent.  Handles the two value shapes we
- * emit (quoted strings without escapes beyond \" and \\, and plain
- * numbers). */
+ * benchJson() or toJson(); empty when absent.  Handles the two value
+ * shapes we emit: plain numbers, and quoted strings carrying every
+ * escape service::jsonEscape() writes (\" \\ \b \f \n \r \t
+ * \u00XX), so strings round-trip byte for byte. */
 std::string
 jsonFieldOf(const std::string &line, const std::string &key)
 {
@@ -1438,13 +1422,32 @@ jsonFieldOf(const std::string &line, const std::string &key)
     if (line[v] == '"') {
         std::string out;
         for (size_t i = v + 1; i < line.size(); ++i) {
-            if (line[i] == '\\' && i + 1 < line.size()) {
-                out += line[++i];
-                continue;
-            }
             if (line[i] == '"')
                 return out;
-            out += line[i];
+            if (line[i] != '\\' || i + 1 == line.size()) {
+                out += line[i];
+                continue;
+            }
+            char e = line[++i];
+            switch (e) {
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
+              case 'n': out += '\n'; break;
+              case 'r': out += '\r'; break;
+              case 't': out += '\t'; break;
+              case 'u': {
+                std::string hex = line.substr(i + 1, 4);
+                if (hex.size() != 4 ||
+                    hex.find_first_not_of("0123456789abcdef") !=
+                        std::string::npos ||
+                    hex.compare(0, 2, "00") != 0)
+                    return "";
+                out += static_cast<char>(std::stoul(hex, nullptr, 16));
+                i += 4;
+                break;
+              }
+              default: out += e;  // the quote and the backslash
+            }
         }
         return "";
     }

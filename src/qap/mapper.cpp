@@ -1,10 +1,6 @@
 #include "qap/mapper.h"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
-#include <stdexcept>
-
+#include "core/registry.h"
 #include "qap/anneal.h"
 #include "qap/placement.h"
 
@@ -66,82 +62,34 @@ class IdentityMapper : public Mapper
     }
 };
 
-struct Registry
+const core::Registry<Mapper> &
+mappers()
 {
-    std::mutex mu;
-    std::map<std::string, MapperFactory> factories;
-};
-
-/** Lazily-built registry with the builtins pre-registered; avoids
- * static-initialization-order and dead-TU issues in static libs. */
-Registry &
-registry()
-{
-    static Registry *r = []() {
-        auto *init = new Registry;
-        init->factories["tabu"] = []() {
-            return std::unique_ptr<Mapper>(new TabuMapper);
-        };
-        init->factories["anneal"] = []() {
-            return std::unique_ptr<Mapper>(new AnnealMapper);
-        };
-        init->factories["greedy"] = []() {
-            return std::unique_ptr<Mapper>(new GreedyMapper);
-        };
-        init->factories["line"] = []() {
-            return std::unique_ptr<Mapper>(new LineMapper);
-        };
-        init->factories["identity"] = []() {
-            return std::unique_ptr<Mapper>(new IdentityMapper);
-        };
-        return init;
-    }();
-    return *r;
+    static const auto table =
+        core::Registry<Mapper>::of<TabuMapper, AnnealMapper,
+                                   GreedyMapper, LineMapper,
+                                   IdentityMapper>("mapper");
+    return table;
 }
 
 } // namespace
 
 bool
-registerMapper(const std::string &name, MapperFactory factory)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.factories.emplace(name, std::move(factory)).second;
-}
-
-bool
 hasMapper(const std::string &name)
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.factories.count(name) != 0;
+    return mappers().has(name);
 }
 
-std::unique_ptr<Mapper>
-makeMapper(const std::string &name)
+const Mapper &
+mapperByName(const std::string &name)
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.factories.find(name);
-    if (it == r.factories.end()) {
-        std::string known;
-        for (const auto &kv : r.factories)
-            known += (known.empty() ? "" : ", ") + kv.first;
-        throw std::invalid_argument("unknown mapper '" + name +
-                                    "' (registered: " + known + ")");
-    }
-    return it->second();
+    return mappers().get(name);
 }
 
 std::vector<std::string>
 mapperNames()
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<std::string> names;
-    for (const auto &kv : r.factories)
-        names.push_back(kv.first);
-    return names;
+    return mappers().names();
 }
 
 } // namespace qap

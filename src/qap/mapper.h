@@ -4,11 +4,12 @@
  * pass pipeline).
  *
  * Every strategy implements the Mapper interface and is looked up by
- * name in a process-wide registry.  The built-in strategies mirror
- * the paper: "tabu" (QAP via tabu search, Sec. III-A, the paper's
- * choice) plus the ablation alternatives "anneal", "greedy", "line"
- * and "identity".  New strategies register with registerMapper() —
- * no core code changes required.
+ * name in one immutable core::Registry (core/registry.h); that name
+ * is CompilerOptions::mapper.  The strategies mirror the paper:
+ * "tabu" (QAP via tabu search, Sec. III-A, the paper's choice) plus
+ * the ablation alternatives "anneal", "greedy", "line" and
+ * "identity".  A new strategy is one more entry in the table in
+ * mapper.cpp.
  *
  * The tabu strategy runs its randomized trials in parallel over
  * `jobs` threads with per-trial derived seeds (`seed + trial`), so
@@ -19,8 +20,6 @@
 #define TQAN_QAP_MAPPER_H
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,8 @@ struct MapperRequest
     TabuOptions tabu;
 };
 
-/** One initial-placement strategy. */
+/** One initial-placement strategy.  Instances are shared by every
+ * compile, so map() must not keep state between calls. */
 class Mapper
 {
   public:
@@ -57,20 +57,12 @@ class Mapper
     virtual Placement map(const MapperRequest &req) const = 0;
 };
 
-using MapperFactory = std::function<std::unique_ptr<Mapper>()>;
-
-/**
- * Register a strategy under a unique name.  Returns false (and leaves
- * the registry unchanged) if the name is taken.
- */
-bool registerMapper(const std::string &name, MapperFactory factory);
-
 /** True iff a strategy of that name is registered. */
 bool hasMapper(const std::string &name);
 
-/** Instantiate a strategy; throws std::invalid_argument listing the
+/** Shared instance by name; throws std::invalid_argument listing the
  * registered names when the lookup fails. */
-std::unique_ptr<Mapper> makeMapper(const std::string &name);
+const Mapper &mapperByName(const std::string &name);
 
 /** Registered strategy names, sorted. */
 std::vector<std::string> mapperNames();

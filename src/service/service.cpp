@@ -21,6 +21,7 @@
 #include "device/noise_map.h"
 #include "ham/parser.h"
 #include "ham/trotter.h"
+#include "qap/mapper.h"
 #include "qcir/qasm.h"
 #include "testgen/random_topology.h"
 
@@ -78,7 +79,7 @@ appendCanonicalOptions(std::string &s,
                        const core::CompilerOptions &o, int nqubits)
 {
     s += "options-v2\n";
-    s += "mapper=" + core::mapperKindName(o.mapper) + "\n";
+    s += "mapper=" + o.mapper + "\n";
     s += "mapper_trials=" + std::to_string(o.mapperTrials) + "\n";
     s += "jobs=" + std::to_string(o.jobs) + "\n";
     s += "unify_circuit=" + std::to_string(o.unifyCircuit ? 1 : 0) +
@@ -302,8 +303,8 @@ CompileService::parseCompileRequest(const JsonObject &obj)
     o.seed = u64Field(obj, "seed", o.seed);
     o.mapperTrials = intField(obj, "trials", o.mapperTrials, 1);
     o.jobs = intField(obj, "jobs", o.jobs, 1);
-    o.mapper =
-        core::mapperKindByName(stringField(obj, "mapper", "tabu"));
+    o.mapper = stringField(obj, "mapper", o.mapper);
+    qap::mapperByName(o.mapper);  // reject unknowns up front
     o.router.name = stringField(obj, "router", o.router.name);
     core::routerByName(o.router.name);  // reject unknowns up front
     o.unifyCircuit =

@@ -252,6 +252,55 @@ TEST(Bench, JsonRoundTripsEveryField)
     }
 }
 
+TEST(Bench, RowJsonRoundTripsEveryEscapedByte)
+{
+    // Every escape service::jsonEscape() writes, plus a byte above
+    // ASCII, in each string field of both row codecs.
+    const std::string nasty = std::string("q\"b\\s\b f\f n\n r\r t\t ") +
+                              '\x01' + '\x1f' + '\x7f' + '\x80' +
+                              '\xff' + " line one\nline two\ttab";
+
+    SweepRow s;
+    s.experiment = nasty;
+    s.benchmark = "NNN_" + nasty;
+    s.device = "grid:3x3" + nasty;
+    s.gateset = "cnot" + nasty;
+    s.backend = "2qan" + nasty;
+    s.nqubits = 6;
+    s.error = nasty;
+    SweepRow sb = sweepRowFromJson(toJson(s));
+    EXPECT_EQ(sb.experiment, s.experiment);
+    EXPECT_EQ(sb.benchmark, s.benchmark);
+    EXPECT_EQ(sb.device, s.device);
+    EXPECT_EQ(sb.gateset, s.gateset);
+    EXPECT_EQ(sb.backend, s.backend);
+    EXPECT_EQ(sb.error, s.error);
+
+    BenchRow b = rowWith("2qan" + nasty, 0.01);
+    b.benchmark += nasty;
+    b.device += nasty;
+    b.gateset += nasty;
+    b.error = nasty;
+    std::string line = benchRowJson(b);
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    BenchRow bb = benchRowFromJson(line);
+    EXPECT_EQ(bb.benchmark, b.benchmark);
+    EXPECT_EQ(bb.device, b.device);
+    EXPECT_EQ(bb.gateset, b.gateset);
+    EXPECT_EQ(bb.backend, b.backend);
+    EXPECT_EQ(bb.error, b.error);
+
+    // Printable ASCII other than the quote and backslash is written
+    // as is, so golden and BENCH files keep their bytes.
+    std::string printable;
+    for (char c = ' '; c <= '~'; ++c)
+        if (c != '"' && c != '\\')
+            printable += c;
+    b.error = printable;
+    EXPECT_NE(benchRowJson(b).find("\"error\":\"" + printable + "\""),
+              std::string::npos);
+}
+
 TEST(Bench, ParseRejectsMalformedRowLines)
 {
     std::istringstream in(

@@ -32,18 +32,18 @@ TEST(Compiler, EveryMapperWorks)
     std::mt19937_64 rng(82);
     auto h = ham::nnnHeisenberg(8, rng);
     auto step = ham::trotterStep(h, 1.0);
-    for (MapperKind mk :
-         {MapperKind::Tabu, MapperKind::Anneal, MapperKind::Greedy,
-          MapperKind::Line, MapperKind::Identity}) {
+    const char *const mappers[] = {"tabu", "anneal", "greedy", "line",
+                                   "identity"};
+    for (int i = 0; i < 5; ++i) {
         CompilerOptions opt;
-        opt.mapper = mk;
-        opt.seed = 100 + static_cast<int>(mk);
+        opt.mapper = mappers[i];
+        opt.seed = 100 + i;
         TqanCompiler comp(device::grid(3, 3), opt);
         auto res = comp.compile(step);
         EXPECT_TRUE(scheduleIsValid(
             qcir::unifySamePairInteractions(step),
             comp.topology(), res.sched))
-            << "mapper " << static_cast<int>(mk);
+            << "mapper " << mappers[i];
     }
 }
 

@@ -145,16 +145,20 @@ TEST(Compiler, CompileReportsPerPassTimes)
                      passSeconds(res.passTimes, "scheduling"));
 }
 
-TEST(Compiler, MapperKindNamesMatchRegistry)
+TEST(Compiler, UnknownMapperNameThrowsListingRegistered)
 {
-    EXPECT_EQ(mapperKindName(MapperKind::Tabu), "tabu");
-    EXPECT_EQ(mapperKindName(MapperKind::Anneal), "anneal");
-    EXPECT_EQ(mapperKindName(MapperKind::Greedy), "greedy");
-    EXPECT_EQ(mapperKindName(MapperKind::Line), "line");
-    EXPECT_EQ(mapperKindName(MapperKind::Identity), "identity");
-    for (MapperKind k : {MapperKind::Tabu, MapperKind::Anneal,
-                         MapperKind::Greedy, MapperKind::Line,
-                         MapperKind::Identity})
-        EXPECT_EQ(mapperKindByName(mapperKindName(k)), k);
-    EXPECT_THROW(mapperKindByName("bogus"), std::invalid_argument);
+    std::mt19937_64 rng(33);
+    auto h = ham::nnnHeisenberg(4, rng);
+    CompilerOptions opt;
+    opt.mapper = "bogus";
+    TqanCompiler comp(device::line(4), opt);
+    try {
+        comp.compile(ham::trotterStep(h, 1.0));
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("unknown mapper 'bogus'"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("tabu"), std::string::npos) << msg;
+    }
 }

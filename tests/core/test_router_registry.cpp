@@ -45,11 +45,6 @@ TEST(RouterRegistry, UnknownNameThrowsListingRegistered)
     }
 }
 
-TEST(RouterRegistry, DuplicateRegistrationRejected)
-{
-    EXPECT_FALSE(core::registerRouter("greedy", nullptr));
-}
-
 TEST(RouterRegistry, BackendInfoAdvertisesRouter)
 {
     EXPECT_EQ(core::backendByName("2qan").info().router, "greedy");

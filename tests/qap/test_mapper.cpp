@@ -36,9 +36,7 @@ TEST(MapperRegistry, BuiltinsAreRegistered)
     for (const char *name :
          {"tabu", "anneal", "greedy", "line", "identity"}) {
         EXPECT_TRUE(hasMapper(name)) << name;
-        auto m = makeMapper(name);
-        ASSERT_NE(m, nullptr);
-        EXPECT_EQ(m->name(), name);
+        EXPECT_EQ(mapperByName(name).name(), name);
     }
 }
 
@@ -46,46 +44,13 @@ TEST(MapperRegistry, UnknownNameThrowsWithKnownNames)
 {
     EXPECT_FALSE(hasMapper("nope"));
     try {
-        makeMapper("nope");
+        mapperByName("nope");
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
         // The error must help the caller: list what IS registered.
         EXPECT_NE(std::string(e.what()).find("tabu"),
                   std::string::npos);
     }
-}
-
-TEST(MapperRegistry, CustomStrategyPlugsIn)
-{
-    struct ReverseMapper : Mapper
-    {
-        std::string name() const override { return "test_reverse"; }
-        Placement map(const MapperRequest &req) const override
-        {
-            int n = req.circuit->numQubits();
-            Placement p(n);
-            for (int i = 0; i < n; ++i)
-                p[i] = n - 1 - i;
-            return p;
-        }
-    };
-
-    if (!hasMapper("test_reverse")) {
-        EXPECT_TRUE(registerMapper("test_reverse", []() {
-            return std::unique_ptr<Mapper>(new ReverseMapper);
-        }));
-    }
-    // Duplicate registration is refused, not overwritten.
-    EXPECT_FALSE(registerMapper("test_reverse", []() {
-        return std::unique_ptr<Mapper>(new ReverseMapper);
-    }));
-
-    qcir::Circuit c(4);
-    device::Topology topo = device::line(4);
-    const auto &dist = topo.hopDistances();
-    auto p = makeMapper("test_reverse")->map(
-        requestFor(c, topo, dist, 0));
-    EXPECT_EQ(p, (Placement{3, 2, 1, 0}));
 }
 
 TEST(MapperRegistry, EveryBuiltinProducesValidPlacement)
@@ -97,9 +62,7 @@ TEST(MapperRegistry, EveryBuiltinProducesValidPlacement)
     const auto &dist = topo.hopDistances();
 
     for (const auto &name : mapperNames()) {
-        if (name.rfind("test_", 0) == 0)
-            continue;  // unit-test strategies from other cases
-        auto p = makeMapper(name)->map(
+        auto p = mapperByName(name).map(
             requestFor(step, topo, dist, 52));
         EXPECT_TRUE(placementIsValid(p, topo.numQubits())) << name;
         EXPECT_EQ(p.size(), 8u) << name;

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <random>
 
@@ -55,7 +56,7 @@ struct RouterOptionsMirror
 };
 struct CompilerOptionsMirror
 {
-    core::MapperKind mapper;
+    std::string mapper;
     int mapperTrials;
     int jobs;
     bool unifyCircuit;
@@ -108,6 +109,25 @@ TEST(CacheKey, IsDeterministic)
     EXPECT_EQ(keyOf(baseRequest()), keyOf(baseRequest()));
 }
 
+TEST(CacheKey, KeysArePinnedAcrossBuilds)
+{
+    // A persisted tqand store keeps hitting only while the canonical
+    // form stays byte-identical across builds (e.g. a mapper held as
+    // an enum or as its registry name keys the same "mapper=<name>").
+    auto hex = [](std::uint64_t key) {
+        char buf[17];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(key));
+        return std::string(buf);
+    };
+    CompileRequest r = baseRequest();
+    EXPECT_EQ(hex(keyOf(r)), "dee32e93807f99a5");
+    r.options.mapper = "anneal";
+    EXPECT_EQ(hex(keyOf(r)), "f884e6283ddfcab6");
+    r.options.router.name = "rrr";
+    EXPECT_EQ(hex(keyOf(r)), "a21b2006fb8ea8ea");
+}
+
 TEST(CacheKey, CoversEveryRequestField)
 {
     CompileRequest r;
@@ -138,7 +158,7 @@ TEST(CacheKey, CoversEveryCompilerOptionsField)
     CompileRequest r;
 
     r = baseRequest();
-    r.options.mapper = core::MapperKind::Anneal;
+    r.options.mapper = "anneal";
     expectKeyChanges("options.mapper", r);
 
     r = baseRequest();

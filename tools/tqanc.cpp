@@ -154,6 +154,7 @@ main(int argc, char **argv)
                 tqan_only.push_back(a);
             } else if (a == "--mapper") {
                 mapper = next();
+                qap::mapperByName(mapper);
                 tqan_only.push_back(a);
             } else if (a == "--router") {
                 router = next();
@@ -221,7 +222,7 @@ main(int argc, char **argv)
         job.options.router.unifySwaps = !no_unify;
         job.options.router.name = router;
         job.options.hybridSchedule = !generic_sched;
-        job.options.mapper = core::mapperKindByName(mapper);
+        job.options.mapper = mapper;
         if (noise_aware) {
             std::mt19937_64 nrng(seed ^ 0xCA11B8A7Eull);
             job.options.noiseMap =
