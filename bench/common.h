@@ -75,6 +75,12 @@ familyStep(Family f, int n, int instance, std::mt19937_64 &rng)
         (void)instance;
         return ham::trotterStep(h, 1.0);
       }
+      case Family::QaoaDense: {
+        auto g = graph::erdosRenyi(n, 0.5, rng);
+        auto h =
+            ham::qaoaLayerHamiltonian(g, ham::qaoaFixedAngles(1)[0]);
+        return ham::trotterStep(h, 1.0);
+      }
     }
     return qcir::Circuit(n);
 }

@@ -23,50 +23,78 @@ namespace qap {
  * contract on two paths:
  *
  *  - Integral data (hop-distance QAPs: flows are interaction counts,
- *    distances are hop counts).  Every delta is a sum of products of
- *    small integers, each exactly representable in a double, so
- *    Taillard's O(1) correction
+ *    distances are hop counts).  With F = max_x sum_j |f_xj| and
+ *    D = max |d|, every delta and every partial sum below is an
+ *    integer of magnitude <= 8 F D; the constructor checks
+ *    8 F D < 2^53, so all of it is exact in a double and any
+ *    summation order gives the bits of a fresh evaluation.  Rows of
+ *    flow partners of the moved pair {u,v} take Taillard's O(1)
+ *    correction
  *
  *        delta'(a,b) = delta(a,b) + (g_a - g_b) * (h_b - h_a),
  *        g_x = f[x][u] - f[x][v],
  *        h_x = d[perm'[x]][perm'[u]] - d[perm'[x]][perm'[v]]
  *
  *    (perm' = post-exchange permutation; valid for {a,b} disjoint
- *    from the moved pair {u,v}) is computed without rounding and is
- *    bit-equal to a fresh evaluation.  Entries touching u or v have
- *    no O(1) form and are re-evaluated.
+ *    from {u,v}; |g_a - g_b| <= 2F and |h_b - h_a| <= 4D give the
+ *    8 F D bound).  Rows of a moved facility s are rebuilt from the
+ *    per-facility costs cm_[x] = sum_{j in N(x)} f_xj d[perm x][perm j]
+ *    and one gathered row t_[j] = d[perm s][perm j]: for real m
+ *
+ *        delta(s,m) = s_[perm m] - s_[perm s]
+ *                   + sum_{j in N(m)} f_mj t_[j] - cm_[m]
+ *                   + 2 f_sm d[perm s][perm m]     (m in N(s) only)
+ *
+ *    which needs d[x][x] = 0 (also checked), so each entry costs
+ *    O(deg(m)) reads of the cached t_ instead of an evaluate() that
+ *    misses cache on a fresh distance row per m.
  *
  *  - Non-integral data (noise-aware distances): the correction could
  *    round differently from a fresh evaluation and flip near-tie
  *    scan comparisons, so every invalidated entry is re-evaluated in
  *    evaluate() order instead.
  *
- * Either way an accepted move costs O((2 + deg(u) + deg(v)) * nloc)
- * entry refreshes — O(nloc * deg) for the bounded-degree interaction
+ * Either way an accepted move refreshes O((2 + deg(u) + deg(v)) *
+ * nloc) entries — O(nloc * deg) for the bounded-degree interaction
  * graphs of 2-local Hamiltonians — instead of the full
- * O(n * nloc * deg) rescan of the naive kernel.
+ * O(n * nloc * deg) rescan of the naive kernel.  On the integral path
+ * each refresh is O(1) apart from one O(nnz(flow)) sparse pass over
+ * t_ per moved facility; on the re-evaluation path each is an
+ * O(deg) evaluate() reading two distance rows.
  */
 
 namespace {
 
-/** Exactly-representable small integer: products of two such values
- * stay <= 2^40 and sums of up to ~2^12 of those stay < 2^53, so all
- * delta arithmetic on them is exact. */
+/** The integral path's data conditions (block comment above):
+ * integral entries, a zero distance diagonal and 8 F D < 2^53.  NaN
+ * fails integrality; an infinite distance fails the bound. */
 bool
-isSmallInteger(double v)
+exactPathHolds(const linalg::FlatMatrix &flow,
+               const linalg::FlatMatrix &dist)
 {
-    return v == std::floor(v) && std::fabs(v) <= 1048576.0;  // 2^20
-}
-
-bool
-allSmallIntegers(const linalg::FlatMatrix &m)
-{
-    const double *p = m.data();
-    size_t count = static_cast<size_t>(m.rows()) * m.cols();
-    for (size_t i = 0; i < count; ++i)
-        if (!isSmallInteger(p[i]))
+    double maxRowSum = 0.0;  // F
+    for (int i = 0; i < flow.rows(); ++i) {
+        double sum = 0.0;
+        for (int j = 0; j < flow.cols(); ++j) {
+            double f = flow[i][j];
+            if (f != std::floor(f))
+                return false;
+            sum += std::fabs(f);
+        }
+        maxRowSum = std::max(maxRowSum, sum);
+    }
+    double maxDist = 0.0;  // D
+    for (int i = 0; i < dist.rows(); ++i) {
+        if (dist[i][i] != 0.0)
             return false;
-    return true;
+        for (int j = 0; j < dist.cols(); ++j) {
+            double d = dist[i][j];
+            if (d != std::floor(d))
+                return false;
+            maxDist = std::max(maxDist, std::fabs(d));
+        }
+    }
+    return 8.0 * maxRowSum * maxDist < 9007199254740992.0;  // 2^53
 }
 
 bool
@@ -94,12 +122,12 @@ DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
 
     // update() infers the stale entries from the moved facilities'
     // flow rows, which is only sound when flow is symmetric; the
-    // O(1) correction additionally reads dist by row where the
-    // derivation says column, so it needs dist symmetric too.  Both
-    // hold for every flow/distance matrix the compiler builds.
+    // O(1) updates additionally read dist by row where the
+    // derivation says column, so they need dist symmetric too.  All
+    // of it holds for hop-distance QAPs.
     flowSymmetric_ = isSymmetric(flow);
-    exact_ = flowSymmetric_ && allSmallIntegers(flow) &&
-             allSmallIntegers(dist) && isSymmetric(dist);
+    exact_ = flowSymmetric_ && isSymmetric(dist) &&
+             exactPathHolds(flow, dist);
 
     nzOff_.assign(n_ + 1, 0);
     for (int i = 0; i < n_; ++i) {
@@ -128,6 +156,18 @@ DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
     g_.assign(nloc_, 0.0);
     h_.assign(nloc_, 0.0);
     s_.assign(nloc_, 0.0);
+    t_.assign(n_, 0.0);
+    cm_.assign(n_, 0.0);
+}
+
+double
+DeltaTable::facilityCost(const std::vector<int> &perm, int x) const
+{
+    const double *dx = (*dist_)[perm[x]];
+    double c = 0.0;
+    for (int k = nzOff_[x]; k < nzOff_[x + 1]; ++k)
+        c += nzVal_[k] * dx[perm[nzCol_[k]]];
+    return c;
 }
 
 double
@@ -166,6 +206,9 @@ DeltaTable::reset(const std::vector<int> &perm)
         for (int b = a + 1; b < nloc_; ++b)
             row[b] = evaluate(perm, a, b);
     }
+    if (exact_)
+        for (int x = 0; x < n_; ++x)
+            cm_[x] = facilityCost(perm, x);
 }
 
 void
@@ -218,7 +261,12 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
     // Integral fast path.  g is the sparse flow-difference column
     // and h the dense distance-difference column of the O(1)
     // correction; both are exact integers, so every path below
-    // produces the same bits evaluate() would.
+    // produces the same bits evaluate() would.  cm_[x] reads perm[x]
+    // and x's partners, so it went stale for exactly the touched
+    // real facilities; the moved-row refreshes read it.
+    for (int s : touched_)
+        if (s < n_)
+            cm_[s] = facilityCost(perm, s);
     int lu = perm[u], lv = perm[v];
     const double *dlu = (*dist_)[lu];
     const double *dlv = (*dist_)[lv];
@@ -253,23 +301,32 @@ DeltaTable::refreshMovedFacility(const std::vector<int> &perm, int s,
                                  int u, int v)
 {
     // Owns every pair that includes the moved facility s; the pair
-    // (u, v) itself is refreshed on u's turn only.
+    // (u, v) itself is refreshed on u's turn only.  t_ is the one
+    // distance row every entry below reads; partnerSide(m) is m's
+    // half of delta(s, m) (see the block comment above).
+    int ps = perm[s];
+    const double *dps = (*dist_)[ps];
+    for (int j = 0; j < n_; ++j)
+        t_[j] = dps[perm[j]];
+    auto partnerSide = [this](int m) {
+        double c = 0.0;
+        for (int k = nzOff_[m]; k < nzOff_[m + 1]; ++k)
+            c += nzVal_[k] * t_[nzCol_[k]];
+        return c - cm_[m];
+    };
+
     if (s >= n_) {
         // A dummy was moved: only the n real rows can pair with it.
         for (int a = 0; a < n_; ++a) {
             if (a == u && s == v)
                 continue;
-            table_[static_cast<size_t>(a) * nloc_ + s] =
-                evaluate(perm, a, s);
+            table_[static_cast<size_t>(a) * nloc_ + s] = partnerSide(a);
         }
         return;
     }
 
-    // s_[x] = sum_k f_sk * d[perm[k]][x] over s's partners k; then a
-    // pair with a flowless partner m is the pure relocation
-    //     delta(s, m) = s_[perm[m]] - s_[perm[s]]
-    // (exact: integer products and sums).  Partner-side terms exist
-    // only for the <= n real facilities, evaluated directly.
+    // s_[x] = sum_k f_sk * d[perm[k]][x] over s's partners k: the
+    // cost of s's flow were s at location x.
     std::fill(s_.begin(), s_.end(), 0.0);
     for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
         const double *drow = (*dist_)[perm[nzCol_[k]]];
@@ -277,15 +334,24 @@ DeltaTable::refreshMovedFacility(const std::vector<int> &perm, int s,
         for (int x = 0; x < nloc_; ++x)
             s_[x] += f * drow[x];
     }
-    double sHome = s_[perm[s]];
+    double sHome = s_[ps];
 
+    auto entry = [&](int m) -> double & {
+        int a = std::min(s, m), b = std::max(s, m);
+        return table_[static_cast<size_t>(a) * nloc_ + b];
+    };
     for (int m = 0; m < n_; ++m) {
         if (m == s || (s == v && m == u))
             continue;
-        int a = std::min(s, m), b = std::max(s, m);
-        table_[static_cast<size_t>(a) * nloc_ + b] =
-            evaluate(perm, a, b);
+        entry(m) = s_[perm[m]] - sHome + partnerSide(m);
     }
+    for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
+        int m = nzCol_[k];
+        if (m == s || (s == v && m == u))
+            continue;
+        entry(m) += 2.0 * nzVal_[k] * t_[m];
+    }
+    // Dummy tail: a flowless partner is the pure relocation.
     double *row = table_.data() + static_cast<size_t>(s) * nloc_;
     for (int b = std::max(n_, s + 1); b < nloc_; ++b) {
         if (s == v && b == u)

@@ -15,9 +15,12 @@
  * accepted move refreshes only the entries whose inputs changed
  * (O(nloc * deg) for the bounded-degree flows of 2-local
  * Hamiltonians) instead of re-deriving every delta from the sparse
- * flow.  Refreshes re-evaluate in the exact summation order of a
- * fresh computation, so results are bit-identical to the naive
- * rescanning kernel — the golden sweep is the oracle.
+ * flow.  On integral data (hop distances) refreshed entries are
+ * algebraic updates of exact integers — O(1) each, plus one sparse
+ * flow pass per moved facility; otherwise each is re-evaluated in the
+ * summation order of a fresh computation.  Either
+ * way results are bit-identical to the naive rescanning kernel — the
+ * golden sweep is the oracle.
  */
 
 #ifndef TQAN_QAP_TABU_H
@@ -50,14 +53,16 @@ struct TabuOptions
  * moved facilities or their flow partners) are refreshed.
  *
  * Bit-identity contract: a cached value always equals what
- * evaluate() returns bit-for-bit.  Entries touching a moved facility
- * are re-evaluated outright.  For the flow-partner rows there are
- * two paths: when every flow and distance entry is a small integer
- * (the hop-distance QAP — the paper's case), every delta is an
- * exactly-representable integer, so Taillard's O(1) algebraic
- * correction is applied per entry and is *exact*, hence bit-equal to
- * re-evaluation.  Non-integral distance matrices (noise-aware
- * placement) take the slower path: full re-evaluation in the same
+ * evaluate() returns bit-for-bit.  There are two paths.  When every
+ * flow and distance entry is an integer, the distance diagonal is
+ * zero and the flow/distance magnitudes keep every intermediate below
+ * 2^53 (the hop-distance QAP — the paper's case), every delta is an
+ * exactly-representable integer.  Then flow-partner rows take
+ * Taillard's O(1) algebraic correction, and moved-facility rows are
+ * rebuilt from a per-facility cost vector and one gathered distance
+ * row (O(1) per entry plus one sparse flow pass); both are *exact*,
+ * hence bit-equal to re-evaluation.  Otherwise (noise-aware
+ * placement) every stale entry is re-evaluated in evaluate()'s
  * summation order, so the guarantee holds there too.
  *
  * Public for the kernel's property tests; not a stable API.
@@ -95,8 +100,9 @@ class DeltaTable
     int facilities() const { return n_; }
     int locations() const { return nloc_; }
 
-    /** True when the integral fast path is active (every flow and
-     * distance entry is a small integer, both symmetric). */
+    /** True when the integral fast path is active: both matrices
+     * symmetric and integral, a zero distance diagonal, and
+     * 8 * max_x sum_j |f_xj| * max |d| < 2^53. */
     bool exactArithmetic() const { return exact_; }
 
     /** update() is only sound for symmetric flow (stale entries are
@@ -120,7 +126,11 @@ class DeltaTable
     std::vector<double> g_;      ///< scratch: flow-difference column
     std::vector<double> h_;      ///< scratch: distance differences
     std::vector<double> s_;      ///< scratch: moved-row dot products
+    std::vector<double> t_;      ///< scratch: d[perm s][perm j], j < n
+    /** Exact path: cm_[x] = sum_{j in N(x)} f_xj d[perm x][perm j]. */
+    std::vector<double> cm_;
 
+    double facilityCost(const std::vector<int> &perm, int x) const;
     void refreshMovedFacility(const std::vector<int> &perm, int s,
                               int u, int v);
     void correctPartnerRow(int w, int u, int v);

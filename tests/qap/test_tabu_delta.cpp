@@ -5,7 +5,9 @@
  * Three guarantees are pinned here:
  *  1. the incremental DeltaTable always matches a brute-force
  *     costOf-style recomputation after every applied move (both the
- *     integral O(1)-correction path and the re-evaluation path);
+ *     integral O(1)-update path and the re-evaluation path, up to
+ *     256 locations, with the data bound that selects between them
+ *     checked on both sides);
  *  2. the memoized kernel produces placements bit-identical to the
  *     pre-memoization rescanning kernel (reproduced verbatim below)
  *     for the same seeds — the contract that keeps the golden sweep
@@ -23,7 +25,9 @@
 
 #include "device/devices.h"
 #include "device/noise_map.h"
+#include "graph/random_graph.h"
 #include "ham/models.h"
+#include "ham/qaoa.h"
 #include "qap/tabu.h"
 #include "simd/dispatch.h"
 
@@ -239,6 +243,72 @@ TEST(DeltaTable, RejectsMalformedShapes)
     EXPECT_THROW(DeltaTable(rect, dist), std::invalid_argument);
 }
 
+TEST(DeltaTable, LargeIntegralWeightStaysExact)
+{
+    // One 2^30 flow weight on a 20-location grid: 8 F D is ~2^36, far
+    // below 2^53, so the O(1) updates stay on the exact path.
+    std::mt19937_64 rng(4242);
+    auto flow = randomFlow(9, rng);
+    flow[2][5] = flow[5][2] = 1073741824.0;  // 2^30
+    auto dist = device::grid(4, 5).hopDistances();
+    checkDeltaTable(flow, dist, rng, 60, /*expectExact=*/true);
+}
+
+TEST(DeltaTable, ExactPathBoundIsComputedFromTheData)
+{
+    // grid(4,5) has diameter 7.  A single flow edge of weight w has
+    // 8 F D = 56 w: 2^47 gives 7 * 2^50 < 2^53 (exact), 2^48 gives
+    // 7 * 2^51 > 2^53 (re-evaluation path).
+    auto dist = device::grid(4, 5).hopDistances();
+    linalg::FlatMatrix flow(6, 6);
+    for (int i = 0; i + 1 < 6; ++i)
+        flow[i][i + 1] = flow[i + 1][i] = 1.0;
+
+    flow[1][4] = flow[4][1] = 140737488355328.0;  // 2^47
+    std::mt19937_64 rng(4343);
+    checkDeltaTable(flow, dist, rng, 60, /*expectExact=*/true);
+
+    flow[1][4] = flow[4][1] = 281474976710656.0;  // 2^48
+    checkDeltaTable(flow, dist, rng, 60, /*expectExact=*/false);
+    std::mt19937_64 r1(44), r2(44);
+    EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r1),
+              referenceTabu(flow, dist, r2));
+}
+
+TEST(DeltaTable, NonzeroDistanceDiagonalIsNotExact)
+{
+    // The moved-row rebuild assumes d[x][x] = 0; an integral matrix
+    // without it must fall back to re-evaluation and still match the
+    // reference kernel.
+    linalg::FlatMatrix dist = device::grid(4, 4).hopDistances();
+    for (int i = 0; i < dist.rows(); ++i)
+        dist[i][i] = 3.0;
+    std::mt19937_64 rng(4444);
+    auto flow = randomFlow(8, rng);
+    checkDeltaTable(flow, dist, rng, 40, /*expectExact=*/false);
+
+    std::mt19937_64 r1(45), r2(45);
+    EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r1),
+              referenceTabu(flow, dist, r2));
+}
+
+TEST(DeltaTable, MatchesFreshEvaluationAtDeviceScale)
+{
+    // 256 locations: n = 200 leaves 56 dummies that moves pick up,
+    // n = 256 has none.  NNN-chain and 3-regular flows are the
+    // paper's interaction graphs.
+    auto dist = device::grid(16, 16).hopDistances();
+    std::mt19937_64 rng(4545);
+    for (int n : {200, 256}) {
+        auto chain = flowMatrix(ham::nnnHeisenberg(n, rng));
+        checkDeltaTable(chain, dist, rng, 60, /*expectExact=*/true);
+        auto g = graph::randomRegularGraph(n, 3, rng);
+        auto reg3 = flowMatrix(
+            ham::qaoaLayerHamiltonian(g, ham::qaoaFixedAngles(1)[0]));
+        checkDeltaTable(reg3, dist, rng, 60, /*expectExact=*/true);
+    }
+}
+
 class TabuBitIdentity : public ::testing::TestWithParam<int>
 {
 };
@@ -289,6 +359,20 @@ TEST_P(TabuBitIdentity, MatchesReferenceKernelOnNoiseAware)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TabuBitIdentity,
                          ::testing::Range(0, 4));
+
+TEST(TabuBitIdentity, MatchesReferenceKernelOnSycamore54)
+{
+    // 40 facilities on 54 locations; maxIters bounds the reference
+    // kernel's full rescans.
+    std::mt19937_64 gen(5454);
+    auto flow = flowMatrix(ham::nnnHeisenberg(40, gen));
+    auto dist = device::sycamore54().hopDistances();
+    TabuOptions opt;
+    opt.maxIters = 300;
+    std::mt19937_64 r1(5455), r2(5455);
+    EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r1, opt),
+              referenceTabu(flow, dist, r2, opt));
+}
 
 TEST(TabuBitIdentity, AsymmetricFlowFallsBackToRescan)
 {

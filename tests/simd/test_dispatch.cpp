@@ -43,12 +43,15 @@ TEST(SimdDispatch, CapsAreConsistentWithAvailability)
 #endif
     // An ISA can only be available if the CPU reports the feature
     // (the converse needs the TU compiled in, so it is not an iff).
-    if (isaAvailable(Isa::Avx2))
+    if (isaAvailable(Isa::Avx2)) {
         EXPECT_TRUE(caps.avx2);
-    if (isaAvailable(Isa::Avx512))
+    }
+    if (isaAvailable(Isa::Avx512)) {
         EXPECT_TRUE(caps.avx512f && caps.avx512dq);
-    if (isaAvailable(Isa::Neon))
+    }
+    if (isaAvailable(Isa::Neon)) {
         EXPECT_TRUE(caps.neon);
+    }
 }
 
 TEST(SimdDispatch, IsaNamesRoundTripThroughParse)
