@@ -1,6 +1,5 @@
 #include "core/metrics.h"
 
-#include "decomp/native_count.h"
 #include "decomp/pass.h"
 
 namespace tqan {
@@ -9,16 +8,26 @@ namespace core {
 namespace {
 
 void
+fillMapped(CompilationMetrics &m, const qcir::Circuit &mapped,
+           device::GateSet gs)
+{
+    decomp::ExpandedCounts e = decomp::countExpanded(mapped, gs);
+    m.native2q = e.twoQubit;
+    m.depth2q = e.twoQubitDepth;
+    m.depthAll = e.depth;
+}
+
+void
 fillNoMap(CompilationMetrics &m, const qcir::Circuit &step,
           device::GateSet gs)
 {
     qcir::Circuit unified = qcir::unifySamePairInteractions(step);
     ScheduleResult nomap = scheduleNoMap(unified);
-    qcir::Circuit expanded =
-        decomp::expandForMetrics(nomap.deviceCircuit, gs);
-    m.native2qNoMap = expanded.twoQubitCount();
-    m.depth2qNoMap = expanded.twoQubitDepth();
-    m.depthAllNoMap = expanded.depth();
+    decomp::ExpandedCounts e =
+        decomp::countExpanded(nomap.deviceCircuit, gs);
+    m.native2qNoMap = e.twoQubit;
+    m.depth2qNoMap = e.twoQubitDepth;
+    m.depthAllNoMap = e.depth;
 }
 
 } // namespace
@@ -30,11 +39,7 @@ computeMetrics(const ScheduleResult &sched, const qcir::Circuit &step,
     CompilationMetrics m;
     m.swaps = sched.swapCount;
     m.dressed = sched.dressedCount;
-    qcir::Circuit expanded =
-        decomp::expandForMetrics(sched.deviceCircuit, gs);
-    m.native2q = expanded.twoQubitCount();
-    m.depth2q = expanded.twoQubitDepth();
-    m.depthAll = expanded.depth();
+    fillMapped(m, sched.deviceCircuit, gs);
     fillNoMap(m, step, gs);
     return m;
 }
@@ -47,10 +52,7 @@ computeCircuitMetrics(const qcir::Circuit &mapped,
     m.swaps = mapped.countKind(qcir::OpKind::Swap) +
               mapped.countKind(qcir::OpKind::DressedSwap);
     m.dressed = mapped.countKind(qcir::OpKind::DressedSwap);
-    qcir::Circuit expanded = decomp::expandForMetrics(mapped, gs);
-    m.native2q = expanded.twoQubitCount();
-    m.depth2q = expanded.twoQubitDepth();
-    m.depthAll = expanded.depth();
+    fillMapped(m, mapped, gs);
     fillNoMap(m, step, gs);
     return m;
 }

@@ -3,6 +3,10 @@
  * Compilation metrics (paper Sec. IV, "Metrics"): inserted SWAPs,
  * hardware two-qubit gate count, two-qubit depth, all-gate depth, and
  * overheads against the connectivity-unconstrained "NoMap" baseline.
+ *
+ * The decomposed counts are those of decomp::expandForMetrics, but
+ * counted in one pass (decomp::countExpanded) rather than read off an
+ * expanded circuit: O(ops) time and O(qubits) memory per circuit.
  */
 
 #ifndef TQAN_CORE_METRICS_H

@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "qap/placement.h"
+
 namespace tqan {
 namespace core {
 
@@ -31,20 +33,25 @@ routePermutationAware(const qcir::Circuit &circuit,
     if (!qap::placementIsValid(initial, topo.numQubits()))
         throw std::invalid_argument("route: invalid placement");
 
-    // Collect the two-qubit ops.
+    // Collect the two-qubit ops, and each logical qubit's ops: only
+    // those move when a SWAP moves the qubit.
     std::vector<int> op_u, op_v, op_idx;
+    std::vector<std::vector<int>> ops_of(n);
     for (int i = 0; i < circuit.size(); ++i) {
         const auto &o = circuit.op(i);
         if (o.isTwoQubit()) {
+            int k = static_cast<int>(op_idx.size());
             op_idx.push_back(i);
             op_u.push_back(o.q0);
             op_v.push_back(o.q1);
+            ops_of[o.q0].push_back(k);
+            ops_of[o.q1].push_back(k);
         }
     }
     int m = static_cast<int>(op_idx.size());
 
     RoutingResult res;
-    res.maps.push_back(initial);
+    res.initial = initial;
     Placement phi = initial;
     std::vector<int> inv = qap::invertPlacement(phi, topo.numQubits());
 
@@ -52,11 +59,11 @@ routePermutationAware(const qcir::Circuit &circuit,
         return topo.dist(phi[op_u[k]], phi[op_v[k]]);
     };
 
-    // Partition into already-NN and unrouted.
+    // Partition into already-NN and unrouted (kept ascending).
     std::vector<int> unrouted;
     res.nnOps.emplace_back();
-    // routedAt[k] = (mapIdx, position in nnOps[mapIdx]) for absorb
-    // lookups; -1 if unrouted or absorbed.
+    // routed_map[k] = index of the bucket holding op k; -1 while
+    // unrouted, -2 once absorbed into a dressed SWAP.
     std::vector<int> routed_map(m, -1);
     for (int k = 0; k < m; ++k) {
         if (distOf(k) == 1) {
@@ -66,6 +73,16 @@ routePermutationAware(const qcir::Circuit &circuit,
             unrouted.push_back(k);
         }
     }
+
+    // Calls f(k) for every op on logical qubit la or lb (either may
+    // be -1, a free device qubit).  An op on both is visited twice,
+    // which is harmless: a SWAP of its two qubits keeps its distance.
+    auto forEachOpOn = [&](int la, int lb, auto &&f) {
+        for (int l : {la, lb})
+            if (l >= 0)
+                for (int k : ops_of[l])
+                    f(k);
+    };
 
     // Approximate per-device-qubit busy time for criterion 2.
     std::vector<int> busy(topo.numQubits(), 0);
@@ -87,6 +104,7 @@ routePermutationAware(const qcir::Circuit &circuit,
     int stagnation = 0;
     long best_seen = std::numeric_limits<long>::max();
     bool forced_mode = false;
+    std::vector<int> touched;
 
     while (!unrouted.empty()) {
         if (++iter > max_swaps)
@@ -112,43 +130,40 @@ routePermutationAware(const qcir::Circuit &circuit,
                 cands.push_back({pv, nb});
 
         // Criterion 1: remaining total distance after the SWAP.
-        // Only ops touching the two swapped logical qubits change.
+        // Only unrouted ops on the two swapped logical qubits change.
         auto costAfter = [&](int p, int q) {
-            int la = inv[p], lb = inv[q];  // logical occupants
             long t = total;
-            for (int k : unrouted) {
-                bool touches = op_u[k] == la || op_v[k] == la ||
-                               op_u[k] == lb || op_v[k] == lb;
-                if (!touches)
-                    continue;
+            forEachOpOn(inv[p], inv[q], [&](int k) {
+                if (routed_map[k] != -1)
+                    return;
                 int du = phi[op_u[k]], dv = phi[op_v[k]];
                 int nu = du == p ? q : (du == q ? p : du);
                 int nv = dv == p ? q : (dv == q ? p : dv);
                 t += topo.dist(nu, nv) - topo.dist(du, dv);
-            }
+            });
             return t;
         };
 
-        // Criterion 3 helper: an unabsorbed, already-routed circuit
-        // op whose logical pair sits exactly on (p, q).
+        // Criterion 3 helper: an unabsorbed, already-routed Interact
+        // op whose logical pair sits exactly on (p, q); the earliest
+        // bucket wins, then the lowest op index.
         auto dressable = [&](int p, int q) -> int {
             if (!opt.unifySwaps)
                 return -1;
             int la = inv[p], lb = inv[q];
             if (la < 0 || lb < 0)
                 return -1;
-            for (size_t mi = 0; mi < res.nnOps.size(); ++mi) {
-                for (int k : res.nnOps[mi]) {
-                    if ((op_u[k] == la && op_v[k] == lb) ||
-                        (op_u[k] == lb && op_v[k] == la)) {
-                        // Only Interact ops merge into dressed SWAPs.
-                        if (circuit.op(op_idx[k]).kind ==
-                            qcir::OpKind::Interact)
-                            return k;
-                    }
-                }
+            int best = -1;
+            for (int k : ops_of[la]) {
+                if (routed_map[k] < 0 ||
+                    (op_u[k] != lb && op_v[k] != lb) ||
+                    circuit.op(op_idx[k]).kind != qcir::OpKind::Interact)
+                    continue;
+                if (best < 0 || routed_map[k] < routed_map[best] ||
+                    (routed_map[k] == routed_map[best] && k < best))
+                    best = k;
             }
-            return -1;
+            return best;
         };
 
         // Evaluate criteria in priority order.
@@ -244,52 +259,53 @@ routePermutationAware(const qcir::Circuit &circuit,
         step.q = sq;
         if (dressed >= 0) {
             step.dressedOp = op_idx[dressed];
-            for (auto &bucket : res.nnOps) {
-                auto it = std::find(bucket.begin(), bucket.end(),
-                                    dressed);
-                if (it != bucket.end()) {
-                    bucket.erase(it);
-                    break;
-                }
-            }
+            auto &bucket = res.nnOps[routed_map[dressed]];
+            bucket.erase(
+                std::lower_bound(bucket.begin(), bucket.end(), dressed));
             routed_map[dressed] = -2;  // absorbed
         }
         res.swaps.push_back(step);
 
         int la = inv[sp], lb = inv[sq];
-        if (la >= 0)
-            phi[la] = sq;
-        if (lb >= 0)
-            phi[lb] = sp;
-        std::swap(inv[sp], inv[sq]);
-        res.maps.push_back(phi);
+        qap::applySwap(phi, inv, sp, sq);
         ++busy[sp];
         ++busy[sq];
 
         // Lines 9-10: newly-NN gates join the bucket of the new map.
+        // Only ops on the two moved qubits can have become NN.
+        int new_map = static_cast<int>(res.swaps.size());
+        touched.clear();
+        forEachOpOn(la, lb, [&](int k) {
+            if (routed_map[k] == -1 && distOf(k) == 1)
+                touched.push_back(k);
+        });
         res.nnOps.emplace_back();
-        total = 0;
-        std::vector<int> still;
-        for (int k : unrouted) {
-            if (distOf(k) == 1) {
+        // costAfter() of the pick is the new total over the old
+        // unrouted set; each newly routed op contributes distance 1.
+        total = c1[pick] - static_cast<long>(touched.size());
+        if (!touched.empty()) {
+            std::sort(touched.begin(), touched.end());
+            for (int k : touched) {
                 res.nnOps.back().push_back(k);
-                routed_map[k] = static_cast<int>(res.maps.size()) - 1;
+                routed_map[k] = new_map;
                 ++busy[phi[op_u[k]]];
                 ++busy[phi[op_v[k]]];
-            } else {
-                still.push_back(k);
-                total += distOf(k);
             }
-        }
-        if (!res.nnOps.back().empty()) {
+            unrouted.erase(std::remove_if(unrouted.begin(),
+                                          unrouted.end(),
+                                          [&](int k) {
+                                              return routed_map[k] ==
+                                                     new_map;
+                                          }),
+                           unrouted.end());
             // Progress: a gate was routed; leave forced mode.
             forced_mode = false;
             stagnation = 0;
             best_seen = std::numeric_limits<long>::max();
         }
-        unrouted.swap(still);
     }
 
+    res.finalMap = std::move(phi);
     // Translate op positions back to circuit indices (dressedOp was
     // already stored as a circuit index at absorb time).
     for (auto &bucket : res.nnOps)
@@ -302,58 +318,48 @@ bool
 routingIsValid(const qcir::Circuit &circuit,
                const device::Topology &topo, const RoutingResult &r)
 {
-    if (r.maps.size() != r.swaps.size() + 1 ||
-        r.nnOps.size() != r.maps.size())
+    if (r.nnOps.size() != r.swaps.size() + 1 ||
+        static_cast<int>(r.initial.size()) != circuit.numQubits() ||
+        !qap::placementIsValid(r.initial, topo.numQubits()))
         return false;
 
-    // Map chain consistency.
-    for (size_t i = 0; i < r.swaps.size(); ++i) {
-        Placement next = r.maps[i];
-        auto inv = qap::invertPlacement(next, topo.numQubits());
-        int la = inv[r.swaps[i].p], lb = inv[r.swaps[i].q];
-        if (!topo.connected(r.swaps[i].p, r.swaps[i].q))
-            return false;
-        if (la >= 0)
-            next[la] = r.swaps[i].q;
-        if (lb >= 0)
-            next[lb] = r.swaps[i].p;
-        if (next != r.maps[i + 1])
-            return false;
-    }
-
-    // Every two-qubit op appears exactly once: in a bucket (NN under
-    // that bucket's map) or as a dressed SWAP payload.
+    // Replay the chain.  Every two-qubit op appears exactly once: in
+    // a bucket (NN under that bucket's map) or as a dressed SWAP
+    // payload (on the SWAP's endpoints under the map in force when
+    // the SWAP ran).
+    Placement phi = r.initial;
+    std::vector<int> inv = qap::invertPlacement(phi, topo.numQubits());
     std::vector<int> seen(circuit.size(), 0);
     for (size_t mi = 0; mi < r.nnOps.size(); ++mi) {
         for (int oi : r.nnOps[mi]) {
             const auto &o = circuit.op(oi);
             if (!o.isTwoQubit())
                 return false;
-            if (topo.dist(r.maps[mi][o.q0], r.maps[mi][o.q1]) != 1)
+            if (topo.dist(phi[o.q0], phi[o.q1]) != 1)
                 return false;
             ++seen[oi];
         }
-    }
-    for (size_t si = 0; si < r.swaps.size(); ++si) {
-        int oi = r.swaps[si].dressedOp;
-        if (oi < 0)
-            continue;
-        const auto &o = circuit.op(oi);
-        // Dressed payload must sit on the SWAP's endpoints under the
-        // map in force when the SWAP was inserted.
-        const Placement &mp = r.maps[si];
-        int a = mp[o.q0], b = mp[o.q1];
-        if (!((a == r.swaps[si].p && b == r.swaps[si].q) ||
-              (a == r.swaps[si].q && b == r.swaps[si].p)))
+        if (mi == r.swaps.size())
+            break;
+        const SwapStep &s = r.swaps[mi];
+        if (!topo.connected(s.p, s.q))
             return false;
-        ++seen[oi];
+        if (s.dressedOp >= 0) {
+            const auto &o = circuit.op(s.dressedOp);
+            if (!o.isTwoQubit())
+                return false;
+            int a = phi[o.q0], b = phi[o.q1];
+            if (!((a == s.p && b == s.q) || (a == s.q && b == s.p)))
+                return false;
+            ++seen[s.dressedOp];
+        }
+        qap::applySwap(phi, inv, s.p, s.q);
     }
-    for (int i = 0; i < circuit.size(); ++i) {
-        if (circuit.op(i).isTwoQubit() && seen[i] != 1)
+    if (phi != r.finalMap)
+        return false;
+    for (int i = 0; i < circuit.size(); ++i)
+        if (seen[i] != (circuit.op(i).isTwoQubit() ? 1 : 0))
             return false;
-        if (!circuit.op(i).isTwoQubit() && seen[i] != 0)
-            return false;
-    }
     return true;
 }
 

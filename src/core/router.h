@@ -33,7 +33,8 @@
 namespace tqan {
 namespace core {
 
-/** One inserted SWAP; transitions maps[i] into maps[i + 1]. */
+/** One inserted SWAP: exchanges the occupants of device qubits p
+ * and q (qap::applySwap), taking map i to map i + 1. */
 struct SwapStep
 {
     int p;             ///< device qubit
@@ -41,15 +42,23 @@ struct SwapStep
     int dressedOp = -1; ///< circuit-op index merged into the SWAP
 };
 
-/** Output of the permutation-aware router. */
+/**
+ * Output of a router.  Map 0 is `initial` and map i + 1 is map i with
+ * swaps[i] applied, ending on `finalMap`.  Only the two ends are
+ * stored: consumers replay the chain with qap::applySwap, forward
+ * from `initial` or backward from `finalMap`, in O(1) per SWAP, so
+ * the result stays O(ops) in memory at any device size.
+ */
 struct RoutingResult
 {
-    /** maps[i][circuit qubit] = device qubit; maps[0] is the initial
-     * placement, maps[i + 1] the map after swaps[i]. */
-    std::vector<qap::Placement> maps;
+    /** initial[circuit qubit] = device qubit before swaps[0]. */
+    qap::Placement initial;
+    /** The map after the last SWAP (= initial without SWAPs). */
+    qap::Placement finalMap;
     /** nnOps[i] = indices (into the input circuit) of two-qubit ops
-     * first routed (nearest-neighbour) at maps[i]; ops absorbed into
-     * dressed SWAPs are removed from these lists. */
+     * first routed (nearest-neighbour) at map i, ascending; ops
+     * absorbed into dressed SWAPs are removed from these lists.
+     * nnOps.size() == swaps.size() + 1. */
     std::vector<std::vector<int>> nnOps;
     std::vector<SwapStep> swaps;
 
@@ -100,11 +109,12 @@ RoutingResult routePermutationAware(const qcir::Circuit &circuit,
                                     const RouterOptions &opt = {});
 
 /**
- * Validation helper: true iff every two-qubit op of the circuit is
- * either nearest-neighbour under the map of its nnOps bucket, or
- * absorbed into a dressed SWAP whose endpoints match the op's qubits
- * under the map at that SWAP.  Also checks map consistency along the
- * SWAP chain.  Used heavily by the tests.
+ * Validation helper: replays the SWAP chain from `initial` and is
+ * true iff every SWAP sits on a coupled pair, every two-qubit op of
+ * the circuit is either nearest-neighbour under the map of its nnOps
+ * bucket or absorbed into a dressed SWAP whose endpoints match the
+ * op's qubits under the map in force when that SWAP ran, and the
+ * replay ends on `finalMap`.  Used heavily by the tests.
  */
 bool routingIsValid(const qcir::Circuit &circuit,
                     const device::Topology &topo,

@@ -104,7 +104,7 @@ scheduleHybridAlap(const Circuit &circuit,
 
     // cntByMap[mi] = unscheduled ops assigned to map mi; suffix =
     // number assigned to maps >= cur (blocks undoing swap cur-1).
-    std::vector<int> cnt_by_map(routing.maps.size(), 0);
+    std::vector<int> cnt_by_map(routing.nnOps.size(), 0);
     for (int a : assigned)
         ++cnt_by_map[a];
     long suffix = cnt_by_map[cur];
@@ -115,13 +115,17 @@ scheduleHybridAlap(const Circuit &circuit,
     };
     std::vector<std::vector<RevOp>> rev_cycles;
 
+    // The current map, walked back from the final one by un-applying
+    // each SWAP as it is scheduled.
+    Placement mp = routing.finalMap;
+    std::vector<int> inv = qap::invertPlacement(mp, topo.numQubits());
+
     size_t remaining = ops.size();
     std::vector<char> busy(topo.numQubits(), 0);
     while (remaining > 0 || cur > 0) {
         std::fill(busy.begin(), busy.end(), 0);
         rev_cycles.emplace_back();
         bool progress = false;
-        const Placement &mp = routing.maps[cur];
 
         // Lines 6-8: circuit gates NN under the current map with free
         // qubits (any map works -- permutation freedom).
@@ -158,6 +162,7 @@ scheduleHybridAlap(const Circuit &circuit,
             }
             rev_cycles.back().push_back({sop});
             busy[s.p] = busy[s.q] = 1;
+            qap::applySwap(mp, inv, s.p, s.q);
             --cur;
             suffix += cnt_by_map[cur];
             progress = true;
@@ -173,8 +178,8 @@ scheduleHybridAlap(const Circuit &circuit,
     // Line 15: reverse into forward time and materialize.
     ScheduleResult res;
     res.deviceCircuit = Circuit(topo.numQubits());
-    res.initialMap = routing.maps.front();
-    res.finalMap = routing.maps.back();
+    res.initialMap = routing.initial;
+    res.finalMap = routing.finalMap;
     res.swapCount = nswaps;
     res.dressedCount = routing.dressedCount();
     for (auto it = rev_cycles.rbegin(); it != rev_cycles.rend();
@@ -197,12 +202,13 @@ scheduleGenericAlap(const Circuit &circuit,
                     const RoutingResult &routing)
 {
     // Respect the routing order: bucket i's gates execute under map
-    // i, then swap i.  Gates are list-scheduled against per-qubit
-    // busy levels (conventional dependency scheduling).
+    // i (replayed forward from the initial one), then swap i.  Gates
+    // are list-scheduled against per-qubit busy levels (conventional
+    // dependency scheduling).
     ScheduleResult res;
     res.deviceCircuit = Circuit(topo.numQubits());
-    res.initialMap = routing.maps.front();
-    res.finalMap = routing.maps.back();
+    res.initialMap = routing.initial;
+    res.finalMap = routing.finalMap;
     res.swapCount = static_cast<int>(routing.swaps.size());
     res.dressedCount = routing.dressedCount();
 
@@ -215,8 +221,9 @@ scheduleGenericAlap(const Circuit &circuit,
         timed.push_back({t, onDevice(o, du, dv)});
     };
 
-    for (size_t mi = 0; mi < routing.maps.size(); ++mi) {
-        const Placement &mp = routing.maps[mi];
+    Placement mp = routing.initial;
+    std::vector<int> inv = qap::invertPlacement(mp, topo.numQubits());
+    for (size_t mi = 0; mi < routing.nnOps.size(); ++mi) {
         for (int oi : routing.nnOps[mi]) {
             const Op &o = circuit.op(oi);
             place(o, mp[o.q0], mp[o.q1]);
@@ -234,6 +241,7 @@ scheduleGenericAlap(const Circuit &circuit,
             int t = std::max(level[s.p], level[s.q]) + 1;
             level[s.p] = level[s.q] = t;
             timed.push_back({t, sop});
+            qap::applySwap(mp, inv, s.p, s.q);
         }
     }
 

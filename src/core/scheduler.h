@@ -21,7 +21,11 @@
  *    Fig. 6a): each operator executes exactly at its assigned map.
  *
  * All schedulers emit the result as a device-qubit circuit in
- * cycle-major order plus the cycle structure.
+ * cycle-major order plus the cycle structure.  The routed schedulers
+ * replay the routing's map chain (RoutingResult keeps only its two
+ * ends): scheduleHybridAlap starts from finalMap and un-applies each
+ * SWAP as it walks back, scheduleGenericAlap applies them forward
+ * from initial; O(1) per SWAP, no per-SWAP placement copy.
  */
 
 #ifndef TQAN_CORE_SCHEDULER_H

@@ -1,5 +1,6 @@
 #include "decomp/pass.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -229,35 +230,82 @@ expandForMetrics(const Circuit &c, GateSet gs)
     return mergeAdjacent1q(out);
 }
 
+ExpandedCounts
+countExpanded(const Circuit &c, GateSet gs)
+{
+    ExpandedCounts r;
+    int n = c.numQubits();
+    std::vector<int> level(n, 0), level2q(n, 0);
+    std::vector<char> last1q(n, 0);
+    // The op sequence expandForMetrics emits, counted as emitted.
+    auto oneQubit = [&](int q) {
+        if (last1q[q])
+            return;  // merged into the previous 1q op
+        last1q[q] = 1;
+        r.depth = std::max(r.depth, ++level[q]);
+    };
+    auto twoQubit = [&](int a, int b) {
+        int t = std::max(level[a], level[b]) + 1;
+        level[a] = level[b] = t;
+        r.depth = std::max(r.depth, t);
+        int t2 = std::max(level2q[a], level2q[b]) + 1;
+        level2q[a] = level2q[b] = t2;
+        r.twoQubitDepth = std::max(r.twoQubitDepth, t2);
+        last1q[a] = last1q[b] = 0;
+        ++r.twoQubit;
+    };
+    for (const auto &op : c.ops()) {
+        if (!op.isTwoQubit()) {
+            oneQubit(op.q0);
+            continue;
+        }
+        oneQubit(op.q0);
+        oneQubit(op.q1);
+        for (int i = nativeCountOp(op, gs); i > 0; --i) {
+            twoQubit(op.q0, op.q1);
+            oneQubit(op.q0);
+            oneQubit(op.q1);
+        }
+    }
+    return r;
+}
+
 Circuit
 cancelAdjacentCnots(const Circuit &c)
 {
-    std::vector<Op> ops = c.ops();
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        std::vector<int> last(c.numQubits(), -1);
-        for (size_t i = 0; i < ops.size() && !changed; ++i) {
-            const Op &op = ops[i];
-            if (op.kind == OpKind::Cnot) {
-                int l0 = last[op.q0], l1 = last[op.q1];
-                if (l0 >= 0 && l0 == l1 &&
-                    ops[l0].kind == OpKind::Cnot &&
-                    ops[l0].q0 == op.q0 && ops[l0].q1 == op.q1) {
-                    ops.erase(ops.begin() + i);
-                    ops.erase(ops.begin() + l0);
-                    changed = true;
-                    break;
-                }
+    // One stack of surviving ops per wire, linked through the ops:
+    // top[q] = last survivor on qubit q (-1: none), below[2i + w] =
+    // the survivor under op i on its wire w (0: q0, 1: q1).  A CNOT
+    // whose two wires both top out at the same identical CNOT cancels
+    // with it, and both wires fall back to the ops before (exposing
+    // cascades).
+    const std::vector<Op> &ops = c.ops();
+    std::vector<int> top(c.numQubits(), -1), below(2 * ops.size(), -1);
+    std::vector<char> alive(ops.size(), 1);
+    for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
+        const Op &op = ops[i];
+        if (op.kind == OpKind::Cnot) {
+            int j = top[op.q0];
+            if (j >= 0 && j == top[op.q1] &&
+                ops[j].kind == OpKind::Cnot && ops[j].q0 == op.q0 &&
+                ops[j].q1 == op.q1) {
+                top[op.q0] = below[2 * j];
+                top[op.q1] = below[2 * j + 1];
+                alive[j] = alive[i] = 0;
+                continue;
             }
-            last[op.q0] = static_cast<int>(i);
-            if (op.isTwoQubit())
-                last[op.q1] = static_cast<int>(i);
+        }
+        below[2 * i] = top[op.q0];
+        top[op.q0] = i;
+        if (op.isTwoQubit()) {
+            below[2 * i + 1] = top[op.q1];
+            top[op.q1] = i;
         }
     }
     Circuit out(c.numQubits());
-    for (const auto &op : ops)
-        out.add(op);
+    for (size_t i = 0; i < ops.size(); ++i)
+        if (alive[i])
+            out.add(ops[i]);
     return out;
 }
 

@@ -19,7 +19,8 @@
  *    gate set: each two-qubit op becomes its minimal number of native
  *    gates with interleaved single-qubit layers, giving faithful
  *    hardware gate-count and depth metrics (the quantities plotted in
- *    the paper's figures).
+ *    the paper's figures).  countExpanded gives the same counts
+ *    without building the expansion.
  *
  * Peephole helpers shared with the baselines (adjacent-CNOT
  * cancellation, adjacent-1q merging, adjacent same-pair 2q merging)
@@ -51,9 +52,28 @@ qcir::Circuit decomposeToCz(const qcir::Circuit &c);
 qcir::Circuit expandForMetrics(const qcir::Circuit &c,
                                device::GateSet gs);
 
+/** The three counts the metrics read off expandForMetrics(c, gs). */
+struct ExpandedCounts
+{
+    int twoQubit = 0;       ///< twoQubitCount()
+    int twoQubitDepth = 0;  ///< twoQubitDepth()
+    int depth = 0;          ///< depth()
+};
+
+/**
+ * expandForMetrics(c, gs)'s counts without building it: one pass
+ * over c with per-wire ASAP levels and a "last op on this wire is
+ * single-qubit" flag (a 1q op after another 1q op is merged away and
+ * adds nothing).  O(ops) time, O(qubits) memory.
+ */
+ExpandedCounts countExpanded(const qcir::Circuit &c,
+                             device::GateSet gs);
+
 /** @name Peephole passes. @{ */
-/** Remove pairs of adjacent identical CNOTs (also used by the
- * Paulihedral-like baseline's block-boundary cancellation). */
+/** Remove pairs of adjacent identical CNOTs, cascading until none
+ * are left (also used by the Paulihedral-like baseline's
+ * block-boundary cancellation).  One pass over the ops with a stack
+ * of surviving ops per wire: O(ops) time and memory. */
 qcir::Circuit cancelAdjacentCnots(const qcir::Circuit &c);
 
 /** Merge runs of single-qubit ops on one qubit into a single U1q. */

@@ -12,6 +12,8 @@
 #define TQAN_QAP_PLACEMENT_H
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "qap/qap.h"
 
@@ -39,6 +41,23 @@ Placement greedyPlacement(const graph::Graph &interaction,
  * circuit qubits 0..n-1 along it (the paper's t|ket> fallback).
  */
 Placement linePlacement(int n, const device::Topology &topo);
+
+/**
+ * Apply a SWAP on device qubits (p, q) to a placement and its inverse
+ * (invertPlacement): the circuit qubits sitting on p and q, if any,
+ * trade places.  A SWAP is its own inverse, so the same call also
+ * un-applies it.
+ */
+inline void
+applySwap(Placement &phi, std::vector<int> &inv, int p, int q)
+{
+    int la = inv[p], lb = inv[q];
+    if (la >= 0)
+        phi[la] = q;
+    if (lb >= 0)
+        phi[lb] = p;
+    std::swap(inv[p], inv[q]);
+}
 
 } // namespace qap
 } // namespace tqan

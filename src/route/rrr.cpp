@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "qap/placement.h"
 #include "route/cost_model.h"
 #include "route/path_search.h"
 
@@ -46,7 +47,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
     int m = static_cast<int>(op_idx.size());
 
     RoutingResult res;
-    res.maps.push_back(initial);
+    res.initial = initial;
     Placement phi = initial;
     std::vector<int> inv = qap::invertPlacement(phi, topo.numQubits());
 
@@ -92,7 +93,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
     };
 
     // Apply one SWAP on device edge (sp, sq): absorb a mergeable op,
-    // extend the map chain, re-bucket newly nearest-neighbour nets.
+    // move the two occupants, re-bucket newly nearest-neighbour nets.
     auto applySwap = [&](int sp, int sq) {
         if (++iter > max_swaps)
             throw std::runtime_error("route: livelock guard tripped");
@@ -112,13 +113,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
             }
         }
         res.swaps.push_back(step);
-        int la = inv[sp], lb = inv[sq];
-        if (la >= 0)
-            phi[la] = sq;
-        if (lb >= 0)
-            phi[lb] = sp;
-        std::swap(inv[sp], inv[sq]);
-        res.maps.push_back(phi);
+        qap::applySwap(phi, inv, sp, sq);
         res.nnOps.emplace_back();
         std::vector<int> still;
         for (int k : unrouted) {
@@ -312,6 +307,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         }
     }
 
+    res.finalMap = std::move(phi);
     // Translate op positions back to circuit indices (dressedOp was
     // already stored as a circuit index at absorb time).
     for (auto &bucket : res.nnOps)

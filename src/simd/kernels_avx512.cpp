@@ -48,11 +48,14 @@ addsub512(__m512d t0, __m512d t1)
     return _mm512_mask_add_pd(_mm512_sub_pd(t0, t1), 0xAA, t0, t1);
 }
 
+// Lane shuffles use their full-mask (0xFF) _mm512_mask_* forms: the
+// unmasked intrinsics start from _mm512_undefined_pd(), which GCC 12
+// reports as -Wmaybe-uninitialized.  The results are identical.
 inline __m512d
 cmulDup512(__m512d a, __m512d crdup, __m512d cidup)
 {
     const __m512d t0 = _mm512_mul_pd(a, crdup);
-    const __m512d sw = _mm512_permute_pd(a, 0x55);
+    const __m512d sw = _mm512_mask_permute_pd(a, 0xFF, a, 0x55);
     const __m512d t1 = _mm512_mul_pd(sw, cidup);
     return addsub512(t0, t1);
 }
@@ -60,8 +63,8 @@ cmulDup512(__m512d a, __m512d crdup, __m512d cidup)
 inline __m512d
 cmulVec512(__m512d a, __m512d ph)
 {
-    const __m512d crdup = _mm512_movedup_pd(ph);
-    const __m512d cidup = _mm512_permute_pd(ph, 0xFF);
+    const __m512d crdup = _mm512_mask_movedup_pd(ph, 0xFF, ph);
+    const __m512d cidup = _mm512_mask_permute_pd(ph, 0xFF, ph, 0xFF);
     return cmulDup512(a, crdup, cidup);
 }
 
@@ -113,9 +116,11 @@ sweepAlt(double *amp, uint64_t iBegin, uint64_t iEnd,
     }
     const __m256d pat4 = _mm256_set_m128d(_mm_loadu_pd(o),
                                           _mm_loadu_pd(e));
-    const __m512d pat8 = _mm512_broadcast_f64x4(pat4);
-    const __m512d crdup8 = _mm512_movedup_pd(pat8);
-    const __m512d cidup8 = _mm512_permute_pd(pat8, 0xFF);
+    const __m512d pat8 =
+        _mm512_mask_broadcast_f64x4(_mm512_setzero_pd(), 0xFF, pat4);
+    const __m512d crdup8 = _mm512_mask_movedup_pd(pat8, 0xFF, pat8);
+    const __m512d cidup8 =
+        _mm512_mask_permute_pd(pat8, 0xFF, pat8, 0xFF);
     for (; i + 4 <= iEnd; i += 4, p += 8)
         _mm512_storeu_pd(
             p, cmulDup512(_mm512_loadu_pd(p), crdup8, cidup8));
@@ -204,8 +209,9 @@ a5_applyPackedPhase(double *amp, const uint64_t *PL,
             const __m256d hi4 =
                 _mm256_set_m128d(_mm_loadu_pd(tab + 2 * c3),
                                  _mm_loadu_pd(tab + 2 * c2));
-            const __m512d ph = _mm512_insertf64x4(
-                _mm512_castpd256_pd512(lo4), hi4, 1);
+            const __m512d lo8 = _mm512_castpd256_pd512(lo4);
+            const __m512d ph =
+                _mm512_mask_insertf64x4(lo8, 0xFF, lo8, hi4, 1);
             _mm512_storeu_pd(p,
                              cmulVec512(_mm512_loadu_pd(p), ph));
         }

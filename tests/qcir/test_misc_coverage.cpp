@@ -131,14 +131,44 @@ TEST(RoutingValidator, CatchesCorruption)
     auto r = core::routePermutationAware(step, place, topo, rng);
     ASSERT_TRUE(core::routingIsValid(step, topo, r));
 
-    // Corrupt the map chain.
+    ASSERT_FALSE(r.swaps.empty());
+    ASSERT_GT(r.dressedCount(), 0);
+
+    // Corrupt the end of the map chain.
     auto broken = r;
-    if (!broken.maps.empty() && broken.maps.back().size() >= 2) {
-        std::swap(broken.maps.back()[0], broken.maps.back()[1]);
-        if (!r.swaps.empty()) {
-            EXPECT_FALSE(core::routingIsValid(step, topo, broken));
-        }
+    std::swap(broken.finalMap[0], broken.finalMap[1]);
+    EXPECT_FALSE(core::routingIsValid(step, topo, broken));
+
+    // Prepend a SWAP on (a, b) twice, with empty buckets after each:
+    // the chain returns to the initial map, so only the inserted
+    // SWAPs themselves can be at fault.
+    auto withDoubleSwap = [&](int a, int b) {
+        core::RoutingResult d = r;
+        d.swaps.insert(d.swaps.begin(), 2, core::SwapStep{a, b});
+        d.nnOps.insert(d.nnOps.begin() + 1, 2, std::vector<int>{});
+        return d;
+    };
+    EXPECT_TRUE(core::routingIsValid(step, topo, withDoubleSwap(0, 1)));
+
+    // A SWAP on a non-edge.
+    ASSERT_FALSE(topo.connected(0, 5));
+    EXPECT_FALSE(
+        core::routingIsValid(step, topo, withDoubleSwap(0, 5)));
+
+    // A dressed payload on the wrong pair: move one to an inserted
+    // SWAP whose endpoints do not hold the payload's qubits.
+    auto misdressed = withDoubleSwap(0, 1);
+    for (auto &s : misdressed.swaps) {
+        if (s.dressedOp < 0)
+            continue;
+        const auto &o = step.op(s.dressedOp);
+        int a = r.initial[o.q0], b = r.initial[o.q1];
+        ASSERT_FALSE((a == 0 && b == 1) || (a == 1 && b == 0));
+        misdressed.swaps[0].dressedOp = s.dressedOp;
+        s.dressedOp = -1;
+        break;
     }
+    EXPECT_FALSE(core::routingIsValid(step, topo, misdressed));
 
     // Drop a routed op.
     auto dropped = r;

@@ -123,7 +123,8 @@ TEST(Rrr, NeverDrawsFromTheRng)
         EXPECT_EQ(a.swaps[i].q, b.swaps[i].q);
         EXPECT_EQ(a.swaps[i].dressedOp, b.swaps[i].dressedOp);
     }
-    EXPECT_EQ(a.maps, b.maps);
+    EXPECT_EQ(a.initial, b.initial);
+    EXPECT_EQ(a.finalMap, b.finalMap);
     EXPECT_EQ(a.nnOps, b.nnOps);
 }
 
