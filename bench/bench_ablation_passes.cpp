@@ -12,28 +12,52 @@
  * Run on the Fig. 9 workloads (Montreal, CNOT).
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <random>
+#include <string>
 
-#include "common.h"
+#include "core/compiler.h"
+#include "core/metrics.h"
+#include "core/sweep.h"
+#include "device/devices.h"
+#include "ham/models.h"
 
 using namespace tqan;
-using namespace tqan::bench;
 
 namespace {
+
+using Family = core::Benchmark;
+
+void
+printRow(Family f, const std::string &device,
+         const std::string &label, int n,
+         const core::CompilationMetrics &m)
+{
+    core::SweepRow row;
+    row.experiment = "ablation";
+    row.benchmark = core::benchmarkName(f);
+    row.device = device;
+    row.gateset = device::gateSetName(device::GateSet::Cnot);
+    row.backend = label;
+    row.nqubits = n;
+    row.instance = 0;
+    row.metrics = m;
+    std::printf("%s\n", core::toCsv(row).c_str());
+    std::fflush(stdout);
+}
 
 void
 runConfig(const char *label, const core::CompilerOptions &opt,
           Family f, int n)
 {
     device::Topology topo = device::montreal27();
-    std::mt19937_64 rng(instanceSeed(f, n, 0));
-    qcir::Circuit step = familyStep(f, n, 0, rng);
+    core::SweepUnit unit = core::buildSweepUnit(f, n, 0, 0);
+    const qcir::Circuit &step = *unit.step;
     core::TqanCompiler comp(topo, opt);
     auto res = comp.compile(step);
     auto m = core::computeMetrics(res.sched, step,
                                   device::GateSet::Cnot);
-    printRow("ablation", familyName(f), topo.name(),
-             device::GateSet::Cnot, label, n, 0, m);
+    printRow(f, topo.name(), label, n, m);
 }
 
 /**
@@ -71,7 +95,7 @@ void
 runUnifyAblation(Family f, int n)
 {
     device::Topology topo = device::montreal27();
-    std::mt19937_64 rng(instanceSeed(f, n, 0));
+    std::mt19937_64 rng(core::sweepInstanceSeed(f, n, 0));
     qcir::Circuit raw = unUnifiedStep(f, n, rng);
 
     core::CompilerOptions with;
@@ -86,20 +110,16 @@ runUnifyAblation(Family f, int n)
                                    device::GateSet::Cnot);
     auto mo = core::computeMetrics(ro.sched, raw,
                                    device::GateSet::Cnot);
-    printRow("ablation", familyName(f), topo.name(),
-             device::GateSet::Cnot, "unify_circuit_on_raw", n, 0,
-             mw);
-    printRow("ablation", familyName(f), topo.name(),
-             device::GateSet::Cnot, "no_circuit_unify_raw", n, 0,
-             mo);
+    printRow(f, topo.name(), "unify_circuit_on_raw", n, mw);
+    printRow(f, topo.name(), "no_circuit_unify_raw", n, mo);
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    printHeader();
+    std::printf("%s\n", core::sweepCsvHeader().c_str());
 
     const Family fams[] = {Family::NnnHeisenberg, Family::NnnIsing,
                            Family::QaoaReg3};
@@ -137,8 +157,5 @@ main(int argc, char **argv)
                 runUnifyAblation(f, n);
         }
     }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,17 +12,18 @@
  * hence higher ESP, at (near) unchanged SWAP counts.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <random>
 
-#include "common.h"
+#include "core/compiler.h"
+#include "core/sweep.h"
 #include "decomp/native_count.h"
+#include "device/devices.h"
 #include "device/noise_map.h"
 
 using namespace tqan;
-using namespace tqan::bench;
 
 namespace {
 
@@ -45,7 +46,7 @@ calibratedGateEsp(const qcir::Circuit &device,
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     std::printf("experiment,benchmark,nqubits,calibration,"
                 "esp_blind,esp_aware,swaps_blind,swaps_aware\n");
@@ -57,10 +58,9 @@ main(int argc, char **argv)
             auto nm = std::make_shared<device::NoiseMap>(
                 device::NoiseMap::synthetic(topo, nrng));
 
-            std::mt19937_64 hrng(
-                instanceSeed(Family::NnnHeisenberg, n, cal));
-            auto step =
-                familyStep(Family::NnnHeisenberg, n, cal, hrng);
+            core::SweepUnit unit = core::buildSweepUnit(
+                core::Benchmark::NnnHeisenberg, n, cal, 0);
+            const qcir::Circuit &step = *unit.step;
 
             core::CompilerOptions blind;
             blind.seed = 55 + cal;
@@ -81,8 +81,5 @@ main(int argc, char **argv)
             std::fflush(stdout);
         }
     }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

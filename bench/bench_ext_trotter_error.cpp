@@ -19,15 +19,14 @@
  * (both quadratically better than fixed), randomized between.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <random>
 
-#include "common.h"
+#include "ham/models.h"
+#include "ham/trotter.h"
 #include "sim/statevector.h"
 
 using namespace tqan;
-using namespace tqan::bench;
 
 namespace {
 
@@ -47,7 +46,7 @@ runCircuit(const qcir::Circuit &c, int n)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     std::printf("experiment,benchmark,ordering,r,state_error\n");
 
@@ -76,8 +75,5 @@ main(int argc, char **argv)
             err(ham::randomizedTrotterCircuit(h, t, r, r2)));
         std::fflush(stdout);
     }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -18,19 +18,31 @@
  * Expected shape (paper): 2QAN's curve is highest everywhere and
  * reaches the random-guess level (0) at much larger n than t|ket>,
  * Qiskit and IC-QAOA.
+ *
+ * Instances follow the sweep seeding convention; each compile seed
+ * folds in core::fnv1a64 of the compiler name, so the rows are the
+ * same under every standard library.  Run: bench_fig10_fidelity
+ * [--exact] (exact statevector ratios for every n).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
+#include <cstdio>
 #include <map>
+#include <random>
+#include <string>
 
-#include "common.h"
+#include "core/backend.h"
+#include "core/hash.h"
+#include "core/qaoa_layers.h"
+#include "core/sweep.h"
 #include "decomp/pass.h"
+#include "device/devices.h"
+#include "graph/random_graph.h"
+#include "ham/qaoa.h"
+#include "ham/trotter.h"
 #include "sim/qaoa_eval.h"
 
 using namespace tqan;
-using namespace tqan::bench;
 
 namespace {
 
@@ -59,13 +71,16 @@ compileTqan(const graph::Graph &g,
 {
     auto layer1 = ham::trotterStep(
         ham::qaoaLayerHamiltonian(g, angles[0]), 1.0);
-    core::CompileResult res;
-    runCompiler("2qan", layer1, topo, device::GateSet::Cnot, seed, &res);
+    core::CompileJob job;
+    job.step = &layer1;
+    job.options.seed = seed;
+    core::CompileResult res =
+        core::backendByName("2qan").compile(job, topo);
     Compiled c;
     c.initial = res.sched.initialMap;
     c.final_map = angles.size() % 2 == 1 ? res.sched.finalMap
                                          : res.sched.initialMap;
-    c.device = withPrep(tqanMultiLayerCircuit(res, angles),
+    c.device = withPrep(core::tqanMultiLayerCircuit(res, angles),
                         c.initial);
     return c;
 }
@@ -75,7 +90,7 @@ compileBaseline(const std::string &name, const graph::Graph &g,
                 const std::vector<ham::QaoaAngles> &angles,
                 const device::Topology &topo, std::uint64_t seed)
 {
-    qcir::Circuit full = qaoaMultiLayerStep(g, angles);
+    qcir::Circuit full = core::qaoaMultiLayerStep(g, angles);
     core::CompileJob job;
     job.step = &full;
     job.options.seed = seed;
@@ -142,8 +157,8 @@ main(int argc, char **argv)
     for (int p = 1; p <= 3; ++p) {
         double acc = 0.0;
         for (int inst = 0; inst < 5; ++inst) {
-            std::mt19937_64 rng(
-                instanceSeed(Family::QaoaReg3, 16, 40 + inst));
+            std::mt19937_64 rng(core::sweepInstanceSeed(
+                core::Benchmark::QaoaReg3, 16, 40 + inst));
             auto g = graph::randomRegularGraph(16, 3, rng);
             acc += sim::noiselessRatio(g, ham::qaoaFixedAngles(p));
         }
@@ -152,8 +167,8 @@ main(int argc, char **argv)
 
     for (int n = 4; n <= 22; n += 2) {
         for (int inst = 0; inst < 10; ++inst) {
-            std::mt19937_64 rng(
-                instanceSeed(Family::QaoaReg3, n, inst));
+            std::mt19937_64 rng(core::sweepInstanceSeed(
+                core::Benchmark::QaoaReg3, n, inst));
             auto g = graph::randomRegularGraph(n, 3, rng);
             for (int p = 1; p <= 3; ++p) {
                 auto angles = ham::qaoaFixedAngles(p);
@@ -164,9 +179,10 @@ main(int argc, char **argv)
 
                 for (const char *name : compilers) {
                     std::uint64_t seed =
-                        instanceSeed(Family::QaoaReg3, n,
-                                     1000 * p + inst) ^
-                        std::hash<std::string>{}(name);
+                        core::sweepInstanceSeed(
+                            core::Benchmark::QaoaReg3, n,
+                            1000 * p + inst) ^
+                        core::fnv1a64(name);
                     Compiled c =
                         std::string(name) == "2QAN"
                             ? compileTqan(g, angles, topo, seed)
@@ -184,8 +200,5 @@ main(int argc, char **argv)
             }
         }
     }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

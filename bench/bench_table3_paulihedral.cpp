@@ -13,14 +13,30 @@
  * block-wise compiler and for 2QAN.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <random>
 
-#include "common.h"
+#include "core/backend.h"
+#include "device/devices.h"
+#include "graph/random_graph.h"
+#include "ham/models.h"
+#include "ham/trotter.h"
 
 using namespace tqan;
-using namespace tqan::bench;
 
 namespace {
+
+/** 2QAN's CNOT-set metrics of one step. */
+core::CompilationMetrics
+tqanMetrics(const qcir::Circuit &step, const device::Topology &topo,
+            std::uint64_t seed)
+{
+    const core::CompilerBackend &b = core::backendByName("2qan");
+    core::CompileJob job;
+    job.step = &step;
+    job.options.seed = seed;
+    return b.metrics(b.compile(job, topo), step, device::GateSet::Cnot);
+}
 
 void
 runHeisenberg(const char *name, const graph::Graph &interaction)
@@ -39,8 +55,7 @@ runHeisenberg(const char *name, const graph::Graph &interaction)
                          device::GateSet::Cnot);
 
     // 2QAN.
-    auto mt = runCompiler("2qan", step, topo,
-                          device::GateSet::Cnot, 2);
+    auto mt = tqanMetrics(step, topo, 2);
 
     std::printf("table3,%s,alltoall30,CNOT,paulihedral_like,30,0,"
                 "%d,%d\n",
@@ -72,8 +87,7 @@ runQaoaReg(int degree)
         const auto &plb = core::backendByName("paulihedral_like");
         auto mp = plb.metrics(plb.compile(job, topo), step,
                               device::GateSet::Cnot);
-        auto mt = runCompiler("2qan", step, topo,
-                              device::GateSet::Cnot, 77 + inst);
+        auto mt = tqanMetrics(step, topo, 77 + inst);
         pl_gates += mp.native2q;
         pl_depth += mp.depthAll;
         tq_gates += mt.native2q;
@@ -91,7 +105,7 @@ runQaoaReg(int degree)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     std::printf("experiment,benchmark,device,gateset,compiler,"
                 "nqubits,instance,cnots,depth\n");
@@ -106,8 +120,5 @@ main(int argc, char **argv)
     runQaoaReg(4);
     runQaoaReg(8);
     runQaoaReg(12);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

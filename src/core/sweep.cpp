@@ -22,7 +22,6 @@
 #include "ham/trotter.h"
 #include "sim/engine.h"
 #include "sim/noise.h"
-#include "sim/reference.h"
 #include "sim/statevector.h"
 #include "simd/dispatch.h"
 #include "verify/check.h"
@@ -132,10 +131,6 @@ prepareSimCase(const SimBenchCase &c, std::uint64_t baseSeed)
             "graph)");
     if (c.layers < 1 || c.shots < 0)
         throw std::invalid_argument("runSimCase: bad layers/shots");
-    if (c.reference && c.forceScalar)
-        throw std::invalid_argument(
-            "runSimCase: 'reference' and 'scalar' are exclusive "
-            "(the pre-engine simulator never dispatches)");
 
     // Same instance-seeding convention as the compile sweeps, so a
     // sim case and a QAOA_REG3 compile row of equal (n, instance)
@@ -157,21 +152,10 @@ double
 runPreparedSimCase(const SimWorkload &w, const SimBenchCase &c,
                    const sim::Engine *eng)
 {
-    if (c.shots > 0) {
-        if (c.reference) {
-            std::mt19937_64 rng(w.trajSeed);
-            return sim::ref::refNoisyExpectationZZ(
-                w.circ, c.n, w.g.edges(), w.nm, c.shots, rng);
-        }
+    if (c.shots > 0)
         return sim::noisyExpectationZZ(w.circ, c.n, w.g.edges(),
                                        w.nm, c.shots, w.trajSeed,
                                        eng);
-    }
-    if (c.reference) {
-        sim::ref::RefStatevector psi(c.n);
-        psi.applyCircuit(w.circ);
-        return psi.expectationZZ(w.g.edges());
-    }
     sim::Statevector psi(c.n, eng);
     psi.applyCircuit(w.circ);
     return psi.expectationZZ(w.g.edges());
@@ -186,8 +170,6 @@ runSimCase(const SimBenchCase &c, std::uint64_t baseSeed, int jobs)
     std::unique_ptr<simd::ScopedForceIsa> force;
     if (c.forceScalar)
         force.reset(new simd::ScopedForceIsa(simd::Isa::Scalar));
-    if (c.reference)
-        return runPreparedSimCase(w, c, nullptr);
     sim::Engine eng(jobs);
     return runPreparedSimCase(w, c, &eng);
 }
@@ -406,28 +388,19 @@ parseSweepSpec(std::istream &in)
                     "sweep spec line " + std::to_string(lineno) +
                     ": verify takes on|off|1|0, got '" + v + "'");
         } else if (key == "sim" && family.empty()) {
-            // sim = LABEL N LAYERS SHOTS [INSTANCE]
-            //       [reference|scalar]
+            // sim = LABEL N LAYERS SHOTS [INSTANCE] [scalar]
             // Appends one simulation bench case per line.
             SimBenchCase sc;
             size_t nvals = vals.size();
-            while (nvals > 0 && (vals[nvals - 1] == "reference" ||
-                                 vals[nvals - 1] == "scalar")) {
-                if (vals[nvals - 1] == "reference")
-                    sc.reference = true;
-                else
-                    sc.forceScalar = true;
+            if (nvals > 0 && vals[nvals - 1] == "scalar") {
+                sc.forceScalar = true;
                 --nvals;
             }
             if (nvals < 4 || nvals > 5)
                 throw std::invalid_argument(
                     "sweep spec line " + std::to_string(lineno) +
                     ": sim takes LABEL N LAYERS SHOTS [INSTANCE] "
-                    "[reference|scalar]");
-            if (sc.reference && sc.forceScalar)
-                throw std::invalid_argument(
-                    "sweep spec line " + std::to_string(lineno) +
-                    ": 'reference' and 'scalar' are exclusive");
+                    "[scalar]");
             sc.label = vals[0];
             sc.n = specInt(key, vals[1]);
             sc.layers = specInt(key, vals[2]);
@@ -486,12 +459,10 @@ sweepSpecHelp()
         "    sizes.QAOA_REG3 = 4 6 8\n"
         "    backends.QAOA_REG3 = 2qan qiskit_sabre ic_qaoa\n"
         "\n"
-        "  sim = LABEL N LAYERS SHOTS [INSTANCE]\n"
-        "        [reference|scalar]\n"
+        "  sim = LABEL N LAYERS SHOTS [INSTANCE] [scalar]\n"
         "  appends one simulation-throughput case (--bench only):\n"
         "  p-layer QAOA on a random 3-regular graph, SHOTS noisy\n"
-        "  trajectories (0 = one noiseless pass); 'reference' times\n"
-        "  the pre-engine simulator instead, 'scalar' pins the\n"
+        "  trajectories (0 = one noiseless pass); 'scalar' pins the\n"
         "  engine's SIMD dispatch to the scalar kernels (backend\n"
         "  label 'engine-scalar').  A spec may be sim-only: sim\n"
         "  lines and no devices.\n";
@@ -527,20 +498,17 @@ sweepPreset(const std::string &name)
         // One simulation-throughput row so the CI perf gate also
         // guards the sim engine (big enough to clear the bench
         // jitter floor, small enough for a smoke run).
-        s.simCases = {{"qaoa_p1_traj16", 14, 1, 16, 0, false}};
+        s.simCases = {{"qaoa_p1_traj16", 14, 1, 16, 0}};
         return s;
     }
     if (name == "fidelity") {
         // Simulation-throughput microbenchmarks (--bench only): the
-        // 20-qubit p=1 QAOA trajectory batch of the PR 4 acceptance
-        // criterion plus a noiseless 22-qubit pass, each timed on
-        // the engine and on the verbatim pre-engine simulator so
-        // BENCH_pr4.json records the speedup on one grid.
+        // 20-qubit p=1 QAOA trajectory batch plus a noiseless
+        // 22-qubit pass on the engine.  Their rows share keys with
+        // BENCH_pr4.json's engine rows, which gate them.
         s.simCases = {
-            {"qaoa_p1_traj64", 20, 1, 64, 0, false},
-            {"qaoa_p1_traj64", 20, 1, 64, 0, true},
-            {"qaoa_p1_state", 22, 1, 0, 0, false},
-            {"qaoa_p1_state", 22, 1, 0, 0, true},
+            {"qaoa_p1_traj64", 20, 1, 64, 0},
+            {"qaoa_p1_state", 22, 1, 0, 0},
         };
         return s;
     }
@@ -561,10 +529,10 @@ sweepPreset(const std::string &name)
         s.trials = 3;
         s.simdPairedCompile = true;
         s.simCases = {
-            {"qaoa_p1_traj64", 20, 1, 64, 0, false, false},
-            {"qaoa_p1_traj64", 20, 1, 64, 0, false, true},
-            {"qaoa_p1_state", 22, 1, 0, 0, false, false},
-            {"qaoa_p1_state", 22, 1, 0, 0, false, true},
+            {"qaoa_p1_traj64", 20, 1, 64, 0, false},
+            {"qaoa_p1_traj64", 20, 1, 64, 0, true},
+            {"qaoa_p1_state", 22, 1, 0, 0, false},
+            {"qaoa_p1_state", 22, 1, 0, 0, true},
         };
         return s;
     }
@@ -619,10 +587,12 @@ sweepPreset(const std::string &name)
         return s;
     }
     if (name == "figures") {
-        // Fig. 7/8/9 in one grid: per-device figure sweeps with 10
-        // QAOA instances and IC-QAOA on the QAOA rows.
+        // Fig. 7/8/9 (each device's paper gate set) and Fig. 11/12
+        // (Sycamore and Aspen with CZ) in one grid: 10 QAOA
+        // instances and IC-QAOA on the QAOA rows.
         s.devices = {{"sycamore", ""}, {"aspen", ""},
-                     {"montreal", ""}};
+                     {"montreal", ""}, {"sycamore", "cz"},
+                     {"aspen", "cz"}};
         s.backends = {"2qan", "qiskit_sabre", "tket_like"};
         s.backendsFor[Benchmark::QaoaReg3] = {
             "2qan", "qiskit_sabre", "tket_like", "ic_qaoa"};
@@ -1119,9 +1089,7 @@ simBenchMeta(const SimBenchCase &c)
     b.benchmark = c.label;
     b.device = "simulator";
     b.gateset = "exact";
-    b.backend = c.reference
-                    ? "reference"
-                    : (c.forceScalar ? "engine-scalar" : "engine");
+    b.backend = c.forceScalar ? "engine-scalar" : "engine";
     b.nqubits = c.n;
     b.instance = c.instance;
     return b;
@@ -1305,14 +1273,12 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
                 if (c.forceScalar)
                     force.reset(new simd::ScopedForceIsa(
                         simd::Isa::Scalar));
-                std::unique_ptr<sim::Engine> eng;
-                if (!c.reference)
-                    eng.reset(new sim::Engine(jobs));
+                sim::Engine eng(jobs);
                 for (int i = 0; i < opt.warmup; ++i)
-                    runPreparedSimCase(w, c, eng.get());
+                    runPreparedSimCase(w, c, &eng);
                 for (int r = 0; r < opt.repeat; ++r) {
                     auto t0 = Clock::now();
-                    runPreparedSimCase(w, c, eng.get());
+                    runPreparedSimCase(w, c, &eng);
                     secs.push_back(std::chrono::duration<double>(
                                        Clock::now() - t0)
                                        .count());

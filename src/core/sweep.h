@@ -7,10 +7,13 @@
  * SweepSpec describes that grid declaratively; expandSweep() builds
  * the circuits/Hamiltonians and turns the grid into BatchJobs, and
  * runSweep() executes them on a BatchCompiler and returns one scored
- * row per job.  `tqan-sweep`, the bench binaries and the golden-file
- * regression tests all consume this one engine, so the whole result
- * grid of the paper reproduces with one command and is guarded by
- * one set of golden files.
+ * row per job.  `tqan-sweep` and the golden-file regression tests
+ * consume this one engine: the paper's Fig. 7/8/9/11/12 and Table
+ * I/II grids are the `figures` and `table1_table2` presets, and the
+ * Sec. V-D runtime evaluation is `tqan-sweep --bench` on a spec, so
+ * the whole result grid reproduces with one command and is guarded
+ * by one set of golden files.  The one-off experiments in bench/
+ * build their instances with buildSweepUnit() and the same seeds.
  *
  * Seeding convention: circuits are generated from
  * sweepInstanceSeed(benchmark, n, instance) and each (job, backend)
@@ -89,10 +92,9 @@ struct SweepDeviceSpec
 /**
  * One simulation-throughput benchmark case (`--bench` only): a
  * p-layer QAOA workload on a random 3-regular graph, run on the
- * sim engine (or, for the speedup denominators of BENCH_pr4.json,
- * on the verbatim pre-engine reference simulator).  `shots > 0`
- * times a noisy trajectory batch, `shots == 0` one noiseless
- * statevector pass plus the cost expectation.
+ * sim engine.  `shots > 0` times a noisy trajectory batch,
+ * `shots == 0` one noiseless statevector pass plus the cost
+ * expectation.
  */
 struct SimBenchCase
 {
@@ -101,12 +103,10 @@ struct SimBenchCase
     int layers = 1;         ///< QAOA p
     int shots = 0;          ///< trajectories; 0 = noiseless pass
     int instance = 0;       ///< graph instance index
-    bool reference = false; ///< time the pre-engine simulator
     /** Pin the engine's SIMD dispatch to the scalar kernels for this
      * case (backend label "engine-scalar"); pairing one dispatched
      * and one scalar-forced row of the same workload is how
-     * BENCH_pr6.json records the SIMD speedup.  Incompatible with
-     * `reference` (the pre-engine simulator never dispatches). */
+     * BENCH_pr6.json records the SIMD speedup. */
     bool forceScalar = false;
 };
 

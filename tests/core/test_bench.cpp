@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "core/sweep.h"
@@ -68,15 +69,15 @@ TEST(Bench, SimCasesProduceThroughputRows)
 {
     SweepSpec s;
     s.experiment = "sim_bench_test";
-    s.simCases = {{"traj", 6, 1, 2, 0, false},
+    s.simCases = {{"traj", 6, 1, 2, 0},
                   {"traj", 6, 1, 2, 0, true},
-                  {"state", 6, 1, 0, 0, false}};
+                  {"state", 6, 1, 0, 0}};
 
     BatchCompiler bc({2});
     std::vector<BenchRow> rows = runBench(s, bc, {0, 2});
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_EQ(rows[0].backend, "engine");
-    EXPECT_EQ(rows[1].backend, "reference");
+    EXPECT_EQ(rows[1].backend, "engine-scalar");
     EXPECT_EQ(rows[2].benchmark, "state");
     for (const auto &r : rows) {
         EXPECT_TRUE(r.ok()) << r.error;
@@ -84,7 +85,7 @@ TEST(Bench, SimCasesProduceThroughputRows)
         EXPECT_EQ(r.gateset, "exact");
         EXPECT_GT(r.medianSeconds, 0.0) << r.key();
     }
-    // Engine and reference rows of the same case stay distinct keys
+    // Dispatched and scalar rows of the same case stay distinct keys
     // (the baseline comparison matches on key()).
     EXPECT_NE(rows[0].key(), rows[1].key());
 
@@ -101,7 +102,7 @@ TEST(Bench, SmokePresetCarriesASimRow)
 {
     SweepSpec s = sweepPreset("smoke");
     ASSERT_FALSE(s.simCases.empty());
-    EXPECT_FALSE(s.simCases[0].reference);
+    EXPECT_FALSE(s.simCases[0].forceScalar);
     EXPECT_GT(s.simCases[0].shots, 0);
 }
 
@@ -109,13 +110,14 @@ TEST(Bench, FidelityPresetIsSimOnly)
 {
     SweepSpec s = sweepPreset("fidelity");
     EXPECT_TRUE(s.devices.empty());
-    ASSERT_EQ(s.simCases.size(), 4u);
+    ASSERT_EQ(s.simCases.size(), 2u);
     // The acceptance microbenchmark: 20-qubit p=1 trajectory batch,
-    // engine and reference rows.
+    // then the noiseless pass, both on the dispatched engine.
     EXPECT_EQ(s.simCases[0].n, 20);
     EXPECT_EQ(s.simCases[0].shots, 64);
-    EXPECT_FALSE(s.simCases[0].reference);
-    EXPECT_TRUE(s.simCases[1].reference);
+    EXPECT_FALSE(s.simCases[0].forceScalar);
+    EXPECT_EQ(s.simCases[1].shots, 0);
+    EXPECT_FALSE(s.simCases[1].forceScalar);
 }
 
 TEST(Bench, SpecParserReadsSimLines)
@@ -123,7 +125,7 @@ TEST(Bench, SpecParserReadsSimLines)
     std::istringstream in(
         "experiment = x\n"
         "sim = fast 8 1 16\n"
-        "sim = slow 10 2 0 3 reference\n");
+        "sim = slow 10 2 0 3\n");
     SweepSpec s = parseSweepSpec(in);
     ASSERT_EQ(s.simCases.size(), 2u);
     EXPECT_EQ(s.simCases[0].label, "fast");
@@ -131,9 +133,9 @@ TEST(Bench, SpecParserReadsSimLines)
     EXPECT_EQ(s.simCases[0].layers, 1);
     EXPECT_EQ(s.simCases[0].shots, 16);
     EXPECT_EQ(s.simCases[0].instance, 0);
-    EXPECT_FALSE(s.simCases[0].reference);
+    EXPECT_FALSE(s.simCases[0].forceScalar);
     EXPECT_EQ(s.simCases[1].instance, 3);
-    EXPECT_TRUE(s.simCases[1].reference);
+    EXPECT_FALSE(s.simCases[1].forceScalar);
 
     std::istringstream bad("sim = onlytwo 4\n");
     EXPECT_THROW(parseSweepSpec(bad), std::invalid_argument);
@@ -145,14 +147,11 @@ TEST(Bench, SimdPresetPairsScalarAndDispatchedRows)
     EXPECT_TRUE(s.simdPairedCompile);
     EXPECT_FALSE(s.devices.empty());
     ASSERT_EQ(s.simCases.size(), 4u);
-    // Each workload appears dispatched first, scalar-forced second;
-    // none use the pre-engine reference simulator.
+    // Each workload appears dispatched first, scalar-forced second.
     for (size_t i = 0; i < s.simCases.size(); i += 2) {
         EXPECT_EQ(s.simCases[i].label, s.simCases[i + 1].label);
         EXPECT_FALSE(s.simCases[i].forceScalar);
         EXPECT_TRUE(s.simCases[i + 1].forceScalar);
-        EXPECT_FALSE(s.simCases[i].reference);
-        EXPECT_FALSE(s.simCases[i + 1].reference);
     }
 }
 
@@ -164,22 +163,52 @@ TEST(Bench, SpecParserReadsScalarToken)
     SweepSpec s = parseSweepSpec(in);
     ASSERT_EQ(s.simCases.size(), 2u);
     EXPECT_TRUE(s.simCases[0].forceScalar);
-    EXPECT_FALSE(s.simCases[0].reference);
     EXPECT_EQ(s.simCases[1].instance, 3);
     EXPECT_TRUE(s.simCases[1].forceScalar);
 
-    // 'reference' and 'scalar' are exclusive (the pre-engine
-    // simulator never dispatches).
+    // A leftover 'reference' token is rejected next to 'scalar' too.
     std::istringstream bad("sim = both 8 1 4 reference scalar\n");
     EXPECT_THROW(parseSweepSpec(bad), std::invalid_argument);
+}
+
+TEST(Bench, SpecParserRejectsReferenceToken)
+{
+    // The pre-engine simulator is a test oracle, not a bench target:
+    // a 'reference' sim line is a spec error.
+    std::istringstream in("sim = x 8 1 4 reference\n");
+    EXPECT_THROW(parseSweepSpec(in), std::invalid_argument);
+}
+
+TEST(Bench, FiguresPresetCoversFigures7To12)
+{
+    // Fig. 7/8/9 on each device's paper gate set, Fig. 11/12 on
+    // Sycamore and Aspen with CZ.
+    SweepSpec s = sweepPreset("figures");
+    std::vector<std::pair<std::string, std::string>> got;
+    for (const auto &d : s.devices)
+        got.emplace_back(d.name, d.gateset);
+    const std::vector<std::pair<std::string, std::string>> want = {
+        {"sycamore", ""}, {"aspen", ""}, {"montreal", ""},
+        {"sycamore", "cz"}, {"aspen", "cz"}};
+    EXPECT_EQ(got, want);
+
+    // The expanded grid resolves those five (device, gate set)
+    // pairs, the paper gate sets included.
+    ExpandedSweep ex = expandSweep(s);
+    std::set<std::pair<std::string, std::string>> pairs;
+    for (const auto &r : ex.rows)
+        pairs.emplace(r.device, r.gateset);
+    EXPECT_EQ(pairs.size(), 5u);
+    EXPECT_TRUE(pairs.count({"sycamore54", "CZ"}));
+    EXPECT_TRUE(pairs.count({"aspen16", "CZ"}));
 }
 
 TEST(Bench, ScalarForcedSimRowsCarryEngineScalarBackend)
 {
     SweepSpec s;
     s.experiment = "simd_pair_test";
-    s.simCases = {{"t", 6, 1, 2, 0, false, false},
-                  {"t", 6, 1, 2, 0, false, true}};
+    s.simCases = {{"t", 6, 1, 2, 0, false},
+                  {"t", 6, 1, 2, 0, true}};
     BatchCompiler bc({1});
     std::vector<BenchRow> rows = runBench(s, bc, {0, 1});
     ASSERT_EQ(rows.size(), 2u);

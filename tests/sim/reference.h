@@ -1,16 +1,15 @@
 /**
  * @file
- * Verbatim pre-engine statevector simulator (the PR 3 state of
- * src/sim/statevector.* and noise.*): full-2^n branch-skip loops,
- * generic Mat2/Mat4 multiplies for every gate, serial rng-sequential
- * trajectories, linear-scan sampling.
+ * Verbatim pre-engine statevector simulator (src/sim/statevector.*
+ * and noise.* as they were before the simulation engine): full-2^n
+ * branch-skip loops, generic Mat2/Mat4 multiplies for every gate,
+ * serial rng-sequential trajectories, linear-scan sampling.
  *
- * Kept for two jobs:
- *  - correctness oracle: the engine tests pin every specialized,
- *    fused and strided kernel path against these kernels;
- *  - speedup denominator: the `fidelity` benchmark preset times the
- *    same workloads on both simulators, so BENCH_pr4.json records
- *    the engine-vs-naive ratio.
+ * Kept for one job, as a test oracle: the kernel tests
+ * (test_kernels.cpp, also run once per SIMD ISA) and the engine
+ * tests pin every specialized, fused and strided kernel path
+ * against these kernels.  It is linked into the test binaries only,
+ * never into libtqan.
  *
  * Do not optimize this file; its value is being the old code.
  */

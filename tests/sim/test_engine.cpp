@@ -18,6 +18,7 @@
 #include "sim/esp.h"
 #include "sim/noise.h"
 #include "sim/qaoa_eval.h"
+#include "sim/reference.h"
 #include "sim/statevector.h"
 
 using namespace tqan;
@@ -109,18 +110,24 @@ TEST(Engine, SeededTrajectoryRatioMatchesAcrossJobs)
 
 TEST(Engine, SimBenchCaseDeterministicAcrossJobs)
 {
-    core::SimBenchCase traj{"t", 8, 1, 8, 0, false};
+    core::SimBenchCase traj{"t", 8, 1, 8, 0};
     EXPECT_EQ(core::runSimCase(traj, 0, 1),
               core::runSimCase(traj, 0, 4));
 
     // Noiseless case: the engine and the pre-engine reference
-    // simulate the identical state.
-    core::SimBenchCase state{"s", 8, 1, 0, 0, false};
-    core::SimBenchCase stateRef{"s", 8, 1, 0, 0, true};
+    // simulate the identical state (the case's graph comes from the
+    // sweep instance seed of its (QAOA_REG3, n, instance)).
+    core::SimBenchCase state{"s", 8, 1, 0, 0};
     EXPECT_EQ(core::runSimCase(state, 0, 1),
               core::runSimCase(state, 0, 4));
+    graph::Graph g(1, {});
+    Circuit c = qaoaCircuit(
+        8, 1, core::sweepInstanceSeed(core::Benchmark::QaoaReg3, 8, 0),
+        g);
+    ref::RefStatevector refPsi(8);
+    refPsi.applyCircuit(c);
     EXPECT_NEAR(core::runSimCase(state, 0, 2),
-                core::runSimCase(stateRef, 0, 1), 1e-10);
+                refPsi.expectationZZ(g.edges()), 1e-10);
 }
 
 TEST(Engine, TrajectoryRejectsOversizedCircuit)

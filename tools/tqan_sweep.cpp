@@ -10,8 +10,10 @@
  *   tqan-sweep --preset table1_table2 --jobs 8 --tables
  *
  * prints the Table I/II reduction grid; `--preset figures` prints
- * the Fig. 7/8/9 rows.  Results are bit-identical for every --jobs
- * value (each job derives its own seed).
+ * the Fig. 7/8/9/11/12 rows, and `--bench` on a spec times each
+ * job's mapping, routing and scheduling (the Sec. V-D runtime
+ * evaluation).  Results are bit-identical for every --jobs value
+ * (each job derives its own seed).
  */
 
 #include <cstdio>
@@ -148,18 +150,20 @@ printHelp(std::FILE *out)
         "  --bench           time the grid instead of printing rows:\n"
         "                    run it --warmup un-timed + --repeat\n"
         "                    timed times and write per-job medians\n"
-        "                    as JSON to --out.  Specs may add\n"
+        "                    (with the mapping/routing/scheduling\n"
+        "                    split) as JSON to --out.  Specs may add\n"
         "                    simulation-throughput rows (`sim =`\n"
         "                    lines; the `fidelity` preset is\n"
         "                    sim-only and times the QAOA trajectory\n"
-        "                    batch on the engine and the pre-engine\n"
-        "                    reference simulator; the `simd` preset\n"
-        "                    pairs dispatched vs scalar-forced rows\n"
-        "                    for the SIMD speedup record)\n"
+        "                    batch and a noiseless pass on the\n"
+        "                    engine; the `simd` preset pairs\n"
+        "                    dispatched vs scalar-forced rows for\n"
+        "                    the SIMD speedup record)\n"
         "  --warmup N        un-timed warmup runs (default 1)\n"
         "  --repeat N        timed runs (default 5)\n"
-        "  --out FILE        bench JSON path (default\n"
-        "                    BENCH_pr4.json; '-' = stdout)\n"
+        "  --out FILE        bench JSON path (default '-' =\n"
+        "                    stdout, the only thing bench mode\n"
+        "                    prints there)\n"
         "  --baseline FILE   compare medians against a previous\n"
         "                    bench JSON; exit 3 when any job is\n"
         "                    slower than baseline * (1 + tolerance)\n"
@@ -265,7 +269,7 @@ int
 main(int argc, char **argv)
 {
     std::string specFile, preset, format = "csv", router;
-    std::string outFile = "BENCH_pr4.json", baselineFile;
+    std::string outFile = "-", baselineFile;
     int jobs = 1, warmup = 1, repeat = 5;
     bool tables = false, tablesOnly = false, bench = false,
          profile = false, verify = false;
