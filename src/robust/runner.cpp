@@ -14,10 +14,11 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <memory>
+#include <exception>
+#include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "core/hash.h"
 #include "core/profile.h"
@@ -57,17 +58,21 @@ struct Attempt
     Clock::time_point readyAt; ///< retry backoff gate
 };
 
-/**
- * Shared campaign state.  Held by shared_ptr so a worker abandoned
- * by the watchdog (its shard requeued out from under it) can still
- * touch the bookkeeping safely even if it outlives runCampaign.
- * Everything below is guarded by mu.
- */
+/** Longest idle wait of a pool worker, so a stop request (a signal
+ * handler cannot notify a condition variable) is noticed promptly. */
+constexpr auto kIdlePoll = std::chrono::milliseconds(50);
+
+/** Campaign bookkeeping, local to runCampaign: every worker thread
+ * is joined before it returns.  Guarded by mu. */
 struct CampaignState
 {
+    CampaignState(const ShardFn &work, const CampaignOptions &opt)
+        : work(work), opt(opt), ckpt(opt.checkpoint)
+    {
+    }
+
     std::mutex mu;
-    std::condition_variable workCv; ///< workers: work or shutdown
-    std::condition_variable doneCv; ///< driver/watchdog: progress
+    std::condition_variable cv; ///< pool: work, stop, or all resolved
 
     std::deque<Attempt> queue;
     std::vector<ShardReport> reports;
@@ -77,26 +82,14 @@ struct CampaignState
     std::uint64_t completedThisRun = 0;
     std::uint64_t retriedCount = 0;
     bool stopDispatch = false;
-    bool shutdown = false;
-    int liveWorkers = 0;
+    /** First error that escaped a pool worker (not a shard's own
+     * failure, which costs an attempt); ends the pool and is
+     * rethrown once every worker is joined. */
+    std::exception_ptr poolError;
 
-    /** In-flight attempts, keyed by a generation id.  The watchdog
-     * abandons an attempt by erasing it; the worker discovers the
-     * erase when it comes back and discards its result. */
-    struct Flight
-    {
-        std::uint64_t shard = 0;
-        int attempt = 0;
-        Clock::time_point start;
-    };
-    std::unordered_map<std::uint64_t, Flight> flights;
-    std::uint64_t nextFlight = 1;
-
-    ShardFn work;
-    CampaignOptions opt;
-    /** Null once the driver is tearing down (the journal lives on
-     * the driver's stack; a late worker must not touch it). */
-    Checkpoint *ckpt = nullptr;
+    const ShardFn &work;
+    const CampaignOptions &opt;
+    Checkpoint ckpt;
 };
 
 Clock::duration
@@ -130,8 +123,7 @@ beginStopLocked(CampaignState &st)
     for (const auto &a : q)
         resolveLocked(st, a.shard, ShardState::Skipped, a.attempt,
                       "");
-    st.workCv.notify_all();
-    st.doneCv.notify_all();
+    st.cv.notify_all();
 }
 
 void
@@ -144,8 +136,8 @@ resolveLocked(CampaignState &st, std::uint64_t shard,
     st.reports[shard].state = state;
     st.reports[shard].attempts = attempts;
     st.reports[shard].error = err;
-    --st.unresolved;
-    st.doneCv.notify_all();
+    if (--st.unresolved == 0)
+        st.cv.notify_all();
 }
 
 /** Failed attempt: requeue with backoff while retries remain, else
@@ -167,7 +159,7 @@ failAttemptLocked(CampaignState &st, std::uint64_t shard,
         st.queue.push_back(
             Attempt{shard, attempt + 1,
                     retryReadyAt(st.opt, attempt + 1)});
-        st.workCv.notify_one();
+        st.cv.notify_one();
         return;
     }
     core::profile::count("robust.campaign.quarantine");
@@ -184,13 +176,11 @@ finishAttemptLocked(CampaignState &st, std::uint64_t shard,
 {
     if (st.resolved[shard])
         return;
-    if (st.ckpt) {
-        try {
-            st.ckpt->append(shard, payload);
-        } catch (const std::exception &e) {
-            failAttemptLocked(st, shard, attempt, e.what());
-            return;
-        }
+    try {
+        st.ckpt.append(shard, payload);
+    } catch (const std::exception &e) {
+        failAttemptLocked(st, shard, attempt, e.what());
+        return;
     }
     st.payloads[shard] = std::move(payload);
     ++st.completedThisRun;
@@ -224,161 +214,84 @@ popReadyLocked(CampaignState &st, Attempt *out, bool *haveFuture,
     return false;
 }
 
-/** One attempt's execution (thread and inline modes). */
+/** One pool worker: pop, run, record, until every shard resolves.
+ * Runs on the calling thread (worker 0) and on each extra thread. */
 void
-executeAttempt(CampaignState &st, const Attempt &a, bool *ok,
-               std::string *payload, std::string *err)
+workerLoop(CampaignState &st)
 {
-    *ok = false;
+    std::unique_lock<std::mutex> lk(st.mu);
+    while (st.unresolved > 0 && !st.poolError) {
+        if (campaignStopRequested())
+            beginStopLocked(st);
+        Attempt a;
+        bool haveFuture = false;
+        Clock::time_point nextReady;
+        if (!popReadyLocked(st, &a, &haveFuture, &nextReady)) {
+            // Backoff-gated retries, or other workers' in-flight
+            // attempts that may yet requeue.
+            auto until = Clock::now() + kIdlePoll;
+            st.cv.wait_until(lk, haveFuture
+                                     ? std::min(until, nextReady)
+                                     : until);
+            continue;
+        }
+        lk.unlock();
+        bool ok = false;
+        std::string payload, err;
+        try {
+            if (faultPoint("campaign.shard"))
+                throw InjectedFault("campaign.shard");
+            payload = st.work(a.shard, a.attempt);
+            ok = true;
+        } catch (const std::exception &e) {
+            err = e.what();
+        } catch (...) {
+            err = "unknown worker error";
+        }
+        lk.lock();
+        if (ok)
+            finishAttemptLocked(st, a.shard, a.attempt,
+                                std::move(payload));
+        else
+            failAttemptLocked(st, a.shard, a.attempt, err);
+    }
+}
+
+void
+recordPoolError(CampaignState &st)
+{
+    std::lock_guard<std::mutex> lock(st.mu);
+    if (!st.poolError)
+        st.poolError = std::current_exception();
+    st.cv.notify_all();
+}
+
+/** Pool worker entry point: nothing may escape a thread. */
+void
+poolThread(CampaignState &st)
+{
     try {
-        if (faultPoint("campaign.shard"))
-            throw InjectedFault("campaign.shard");
-        *payload = st.work(a.shard, a.attempt);
-        *ok = true;
-    } catch (const std::exception &e) {
-        *err = e.what();
+        workerLoop(st);
     } catch (...) {
-        *err = "unknown worker error";
+        recordPoolError(st);
     }
 }
 
 void
-workerLoop(std::shared_ptr<CampaignState> st)
+runPool(CampaignState &st)
 {
-    std::unique_lock<std::mutex> lk(st->mu);
-    for (;;) {
-        Attempt a;
-        bool haveFuture = false;
-        Clock::time_point nextReady;
-        if (!popReadyLocked(*st, &a, &haveFuture, &nextReady)) {
-            if (st->shutdown)
-                break;
-            if (haveFuture)
-                st->workCv.wait_until(lk, nextReady);
-            else
-                st->workCv.wait(lk);
-            continue;
-        }
-        std::uint64_t fid = st->nextFlight++;
-        st->flights[fid] =
-            CampaignState::Flight{a.shard, a.attempt, Clock::now()};
-        lk.unlock();
-
-        bool ok = false;
-        std::string payload, err;
-        executeAttempt(*st, a, &ok, &payload, &err);
-
-        lk.lock();
-        auto fit = st->flights.find(fid);
-        if (fit == st->flights.end())
-            continue; // abandoned by the watchdog; result discarded
-        st->flights.erase(fit);
-        if (ok)
-            finishAttemptLocked(*st, a.shard, a.attempt,
-                                std::move(payload));
-        else
-            failAttemptLocked(*st, a.shard, a.attempt, err);
+    std::vector<std::thread> extra;
+    try {
+        for (int i = 1; i < st.opt.workers; ++i)
+            extra.emplace_back(poolThread, std::ref(st));
+    } catch (...) {
+        recordPoolError(st); // could not start a thread
     }
-    --st->liveWorkers;
-    st->doneCv.notify_all();
-}
-
-void
-watchdogLoop(std::shared_ptr<CampaignState> st)
-{
-    const auto deadline =
-        secondsToDuration(st->opt.shardDeadline);
-    std::unique_lock<std::mutex> lk(st->mu);
-    while (!st->shutdown) {
-        st->doneCv.wait_for(lk, std::chrono::milliseconds(20));
-        if (st->shutdown)
-            break;
-        auto now = Clock::now();
-        std::vector<std::uint64_t> expired;
-        for (const auto &kv : st->flights)
-            if (now - kv.second.start > deadline)
-                expired.push_back(kv.first);
-        for (std::uint64_t fid : expired) {
-            CampaignState::Flight f = st->flights[fid];
-            st->flights.erase(fid);
-            core::profile::count("robust.campaign.deadline");
-            failAttemptLocked(*st, f.shard, f.attempt,
-                              "shard deadline exceeded");
-            // The stuck worker still holds a slot until (if ever)
-            // its work returns; keep capacity by spawning a
-            // replacement.
-            ++st->liveWorkers;
-            std::thread(workerLoop, st).detach();
-        }
-    }
-}
-
-void
-runThreadMode(const std::shared_ptr<CampaignState> &st)
-{
-    int workers = std::max(1, st->opt.workers);
-    {
-        std::lock_guard<std::mutex> lock(st->mu);
-        st->liveWorkers = workers;
-    }
-    // Detached + shared_ptr ownership: a worker stuck inside a hung
-    // shard cannot be joined, only outlived.
-    for (int i = 0; i < workers; ++i)
-        std::thread(workerLoop, st).detach();
-    std::thread watchdog;
-    if (st->opt.shardDeadline > 0)
-        watchdog = std::thread(watchdogLoop, st);
-
-    std::unique_lock<std::mutex> lk(st->mu);
-    while (st->unresolved > 0) {
-        st->doneCv.wait_for(lk, std::chrono::milliseconds(50));
-        if (campaignStopRequested())
-            beginStopLocked(*st);
-    }
-    st->shutdown = true;
-    st->workCv.notify_all();
-    st->doneCv.notify_all();
-    // Give workers a moment to drain; a worker hung inside a shard
-    // stays behind as a detached thread and its eventual result is
-    // discarded (its flight is gone and ckpt is nulled below).
-    st->doneCv.wait_for(lk, std::chrono::seconds(2),
-                        [&] { return st->liveWorkers == 0; });
-    st->ckpt = nullptr;
-    lk.unlock();
-    if (watchdog.joinable())
-        watchdog.join();
-}
-
-void
-runInlineMode(const std::shared_ptr<CampaignState> &st)
-{
-    std::unique_lock<std::mutex> lk(st->mu);
-    for (;;) {
-        if (campaignStopRequested())
-            beginStopLocked(*st);
-        Attempt a;
-        bool haveFuture = false;
-        Clock::time_point nextReady;
-        if (!popReadyLocked(*st, &a, &haveFuture, &nextReady)) {
-            if (!haveFuture)
-                break; // queue drained
-            lk.unlock();
-            std::this_thread::sleep_until(nextReady);
-            lk.lock();
-            continue;
-        }
-        lk.unlock();
-        bool ok = false;
-        std::string payload, err;
-        executeAttempt(*st, a, &ok, &payload, &err);
-        lk.lock();
-        if (ok)
-            finishAttemptLocked(*st, a.shard, a.attempt,
-                                std::move(payload));
-        else
-            failAttemptLocked(*st, a.shard, a.attempt, err);
-    }
-    st->ckpt = nullptr;
+    poolThread(st); // the calling thread is worker 0
+    for (auto &t : extra)
+        t.join();
+    if (st.poolError)
+        std::rethrow_exception(st.poolError);
 }
 
 /** Child side of the process runner: run the shard, write one
@@ -439,7 +352,7 @@ parseFrame(const std::string &buf, std::uint8_t *status,
 }
 
 void
-runProcessMode(const std::shared_ptr<CampaignState> &st)
+runProcessMode(CampaignState &st)
 {
     struct Kid
     {
@@ -455,31 +368,31 @@ runProcessMode(const std::shared_ptr<CampaignState> &st)
         int status = 0;
     };
     std::vector<Kid> kids;
-    const int maxKids = std::max(1, st->opt.processes);
-    const bool hasDeadline = st->opt.shardDeadline > 0;
-    const auto deadline = secondsToDuration(st->opt.shardDeadline);
+    const int maxKids = std::max(1, st.opt.processes);
+    const bool hasDeadline = st.opt.shardDeadline > 0;
+    const auto deadline = secondsToDuration(st.opt.shardDeadline);
 
-    std::unique_lock<std::mutex> lk(st->mu);
-    while (st->unresolved > 0) {
+    std::unique_lock<std::mutex> lk(st.mu);
+    while (st.unresolved > 0) {
         if (campaignStopRequested())
-            beginStopLocked(*st);
+            beginStopLocked(st);
 
         // Spawn up to the concurrency cap.  The parent is
         // single-threaded here, so forking while holding mu is safe:
         // no other thread can have left any lock held in the child,
         // and the child never touches st.mu.
         for (;;) {
-            if (st->stopDispatch ||
+            if (st.stopDispatch ||
                 static_cast<int>(kids.size()) >= maxKids)
                 break;
             Attempt a;
             bool haveFuture = false;
             Clock::time_point nextReady;
-            if (!popReadyLocked(*st, &a, &haveFuture, &nextReady))
+            if (!popReadyLocked(st, &a, &haveFuture, &nextReady))
                 break;
             int p[2];
             if (::pipe(p) != 0) {
-                failAttemptLocked(*st, a.shard, a.attempt,
+                failAttemptLocked(st, a.shard, a.attempt,
                                   "pipe() failed");
                 continue;
             }
@@ -487,13 +400,13 @@ runProcessMode(const std::shared_ptr<CampaignState> &st)
             if (pid < 0) {
                 ::close(p[0]);
                 ::close(p[1]);
-                failAttemptLocked(*st, a.shard, a.attempt,
+                failAttemptLocked(st, a.shard, a.attempt,
                                   "fork() failed");
                 continue;
             }
             if (pid == 0) {
                 ::close(p[0]);
-                runChild(*st, a, p[1]); // never returns
+                runChild(st, a, p[1]); // never returns
             }
             ::close(p[1]);
             // Non-blocking read end: the drain loop below must never
@@ -512,7 +425,7 @@ runProcessMode(const std::shared_ptr<CampaignState> &st)
         }
 
         if (kids.empty()) {
-            if (st->queue.empty())
+            if (st.queue.empty())
                 break; // nothing running, nothing left
             // Only backoff-gated retries remain.
             lk.unlock();
@@ -584,15 +497,15 @@ runProcessMode(const std::shared_ptr<CampaignState> &st)
             std::string body;
             bool framed = parseFrame(k.buf, &status, &body);
             if (k.deadlineKilled) {
-                failAttemptLocked(*st, k.shard, k.attempt,
+                failAttemptLocked(st, k.shard, k.attempt,
                                   "shard deadline exceeded");
             } else if (framed && status == 0 &&
                        WIFEXITED(k.status) &&
                        WEXITSTATUS(k.status) == 0) {
-                finishAttemptLocked(*st, k.shard, k.attempt,
+                finishAttemptLocked(st, k.shard, k.attempt,
                                     std::move(body));
             } else if (framed && status == 1) {
-                failAttemptLocked(*st, k.shard, k.attempt, body);
+                failAttemptLocked(st, k.shard, k.attempt, body);
             } else {
                 std::string why =
                     WIFSIGNALED(k.status)
@@ -604,14 +517,13 @@ runProcessMode(const std::shared_ptr<CampaignState> &st)
                                       ? WEXITSTATUS(k.status)
                                       : -1) +
                               ")";
-                failAttemptLocked(*st, k.shard, k.attempt, why);
+                failAttemptLocked(st, k.shard, k.attempt, why);
             }
             ::close(k.fd);
             kids.erase(kids.begin() +
                        static_cast<std::ptrdiff_t>(i));
         }
     }
-    st->ckpt = nullptr;
     lk.unlock();
     for (auto &k : kids) { // interrupted with children still up
         ::kill(k.pid, SIGKILL);
@@ -640,19 +552,20 @@ CampaignResult
 runCampaign(std::uint64_t shards, const ShardFn &work,
             const CampaignOptions &opt)
 {
+    if (opt.shardDeadline > 0 && opt.processes <= 0)
+        throw std::invalid_argument(
+            "runCampaign: a shard deadline needs process mode "
+            "(processes > 0); a hung thread cannot be killed");
     core::profile::ScopedTimer timer("robust.campaign");
-    auto st = std::make_shared<CampaignState>();
-    st->opt = opt;
-    st->work = work;
-    st->reports.resize(shards);
-    st->payloads.resize(shards);
-    st->resolved.assign(shards, false);
+    CampaignState st(work, opt);
+    st.reports.resize(shards);
+    st.payloads.resize(shards);
+    st.resolved.assign(shards, false);
     for (std::uint64_t i = 0; i < shards; ++i)
-        st->reports[i].shard = i;
-    st->unresolved = shards;
+        st.reports[i].shard = i;
+    st.unresolved = shards;
 
-    Checkpoint ckpt(opt.checkpoint);
-    std::uint64_t restoredCount = 0;
+    Checkpoint &ckpt = st.ckpt;
     if (ckpt.enabled()) {
         auto meta = ckpt.entries().find(Checkpoint::kMetaShard);
         if (opt.resume) {
@@ -670,17 +583,15 @@ runCampaign(std::uint64_t shards, const ShardFn &work,
         }
         if (meta == ckpt.entries().end())
             ckpt.append(Checkpoint::kMetaShard, opt.configTag);
-        st->ckpt = &ckpt;
 
         if (opt.resume)
             for (const auto &kv : ckpt.entries()) {
                 if (kv.first == Checkpoint::kMetaShard ||
                     kv.first >= shards)
                     continue;
-                st->payloads[kv.first] = kv.second;
-                resolveLocked(*st, kv.first, ShardState::Restored,
-                              0, "");
-                ++restoredCount;
+                st.payloads[kv.first] = kv.second;
+                resolveLocked(st, kv.first, ShardState::Restored, 0,
+                              "");
                 core::profile::count("robust.campaign.restored");
             }
     }
@@ -688,45 +599,37 @@ runCampaign(std::uint64_t shards, const ShardFn &work,
     {
         auto now = Clock::now();
         for (std::uint64_t i = 0; i < shards; ++i)
-            if (!st->resolved[i])
-                st->queue.push_back(Attempt{i, 0, now});
+            if (!st.resolved[i])
+                st.queue.push_back(Attempt{i, 0, now});
     }
 
-    if (st->unresolved > 0) {
+    if (st.unresolved > 0) {
         if (opt.processes > 0)
             runProcessMode(st);
-        else if (std::max(1, opt.workers) == 1 &&
-                 opt.shardDeadline <= 0)
-            runInlineMode(st);
         else
-            runThreadMode(st);
+            runPool(st);
     }
 
     CampaignResult r;
-    {
-        std::lock_guard<std::mutex> lock(st->mu);
-        st->ckpt = nullptr;
-        r.payloads = st->payloads;
-        r.shards = st->reports;
-        r.retried = st->retriedCount;
-        for (const auto &rep : r.shards)
-            switch (rep.state) {
-            case ShardState::Done:
-                ++r.completed;
-                break;
-            case ShardState::Restored:
-                ++r.restored;
-                break;
-            case ShardState::Quarantined:
-                ++r.quarantined;
-                break;
-            case ShardState::Skipped:
-                ++r.skipped;
-                break;
-            }
-        r.interrupted = r.skipped > 0;
-    }
-    (void)restoredCount;
+    r.payloads = std::move(st.payloads);
+    r.shards = std::move(st.reports);
+    r.retried = st.retriedCount;
+    for (const auto &rep : r.shards)
+        switch (rep.state) {
+        case ShardState::Done:
+            ++r.completed;
+            break;
+        case ShardState::Restored:
+            ++r.restored;
+            break;
+        case ShardState::Quarantined:
+            ++r.quarantined;
+            break;
+        case ShardState::Skipped:
+            ++r.skipped;
+            break;
+        }
+    r.interrupted = r.skipped > 0;
     return r;
 }
 

@@ -9,10 +9,15 @@
  * in which order shards finished, or how many times the campaign was
  * killed and resumed:
  *
- *  - worker threads (or, with processes > 0, one forked worker
- *    process per shard attempt) execute shards pulled from a queue;
- *  - a watchdog requeues shards whose worker exceeds the deadline or
- *    dies, with bounded retries and exponential backoff;
+ *  - in-process mode runs shards on a pool of `workers` threads
+ *    pulling from one queue: the calling thread plus workers - 1
+ *    more, all joined before runCampaign returns;
+ *  - process mode (processes > 0) forks one worker process per shard
+ *    attempt, so a crash costs the attempt, not the campaign, and a
+ *    child that outlives the shard deadline is SIGKILLed.  Deadlines
+ *    exist only here: a hung thread cannot be killed;
+ *  - a failed attempt (throw, crash, deadline) is requeued with
+ *    bounded retries and exponential backoff;
  *  - a shard that exhausts its retries is QUARANTINED and reported —
  *    the campaign keeps going and still returns a summary (graceful
  *    degradation, never abort);
@@ -25,7 +30,7 @@
  * on this; their shard functions are pure given (shard index, spec).
  *
  * Fault probe: campaign.shard fires once per shard attempt, in the
- * worker (thread mode) or in the child (process mode).
+ * worker thread (in-process mode) or in the child (process mode).
  */
 
 #ifndef TQAN_ROBUST_RUNNER_H
@@ -41,16 +46,18 @@ namespace robust {
 
 struct CampaignOptions
 {
-    /** Worker threads (thread mode).  1 with no deadline runs
-     * inline on the calling thread. */
+    /** In-process worker threads, counting the calling thread: 1
+     * (or less) runs every shard on the caller with no thread
+     * spawned.  Ignored in process mode. */
     int workers = 1;
     /** > 0: fork one worker process per shard attempt, at most this
      * many concurrently.  A child that crashes (signal, _exit) costs
      * one attempt; the parent requeues the shard. */
     int processes = 0;
-    /** Seconds one attempt may run before the watchdog abandons it
-     * (kills the child in process mode) and requeues the shard.
-     * 0 = no deadline. */
+    /** Process mode only: seconds one attempt may run before its
+     * child is SIGKILLed and the shard requeued.  0 = no deadline;
+     * > 0 with processes == 0 makes runCampaign throw
+     * std::invalid_argument. */
     double shardDeadline = 0.0;
     /** Extra attempts after the first before quarantine. */
     int retries = 2;
@@ -117,7 +124,9 @@ struct CampaignResult
 using ShardFn =
     std::function<std::string(std::uint64_t shard, int attempt)>;
 
-/** Run shards [0, shards) under supervision. */
+/** Run shards [0, shards) under supervision.
+ * @throws std::invalid_argument for a shard deadline without
+ *         process mode. */
 CampaignResult runCampaign(std::uint64_t shards, const ShardFn &work,
                            const CampaignOptions &opt);
 

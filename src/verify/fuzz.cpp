@@ -404,7 +404,6 @@ runFuzz(const FuzzOptions &opt)
         opt.backends.empty() ? core::backendNames() : opt.backends;
 
     robust::CampaignOptions co = opt.campaign;
-    co.workers = opt.jobs;
     co.configTag = fuzzConfigTag(opt, backends);
 
     robust::CampaignResult camp = robust::runCampaign(

@@ -19,7 +19,7 @@
  *
  * The loop runs as a robust::CampaignRunner campaign: one shard per
  * scenario, every shard's randomness derived from its own seed, so
- * results are identical for any `jobs` value — the repo-wide
+ * results are identical for any worker count — the repo-wide
  * determinism contract.  Shards survive worker crashes (bounded
  * retries, then quarantine), can run in forked worker processes, and
  * journal to a checkpoint so an interrupted campaign resumes with
@@ -58,9 +58,6 @@ struct FuzzOptions
     std::vector<std::string> backends;
     testgen::ScenarioOptions scenario;
     CheckOptions check;
-    /** Scenario-parallel worker threads (results independent of the
-     * value). */
-    int jobs = 1;
     /** Mapping trials for the 2QAN pipeline (2 keeps fuzzing fast;
      * correctness is trial-count independent). */
     int mapperTrials = 2;
@@ -68,10 +65,11 @@ struct FuzzOptions
     bool shrink = true;
     /** Mutation-campaign attempts per verified case; 0 = off. */
     int mutationsPerCase = 0;
-    /** Supervision: checkpoint/resume, forked worker processes,
-     * per-shard deadline, retry budget.  `campaign.workers` is
-     * ignored — `jobs` above is the worker count — and
-     * `campaign.configTag` is derived from these options. */
+    /** Supervision: scenario-parallel worker threads
+     * (`campaign.workers`; results independent of the value),
+     * checkpoint/resume, forked worker processes with a per-shard
+     * deadline, retry budget.  `campaign.configTag` is derived from
+     * these options. */
     robust::CampaignOptions campaign;
 };
 

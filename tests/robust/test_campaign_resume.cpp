@@ -67,7 +67,7 @@ smallFuzz()
     verify::FuzzOptions opt;
     opt.iterations = 5;
     opt.seed = 11;
-    opt.jobs = 2;
+    opt.campaign.workers = 2;
     opt.backends = {"2qan"};
     opt.scenario.maxQubits = 5;
     opt.scenario.maxDeviceQubits = 7;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the supervised campaign runner: worker-count invariance,
- * retry/quarantine/watchdog supervision, checkpointed interrupt +
- * resume byte-identity, and the forked-process worker mode.
+ * retry/quarantine supervision, checkpointed interrupt + resume
+ * byte-identity, and the forked-process worker mode (the only mode
+ * with shard deadlines).
  */
 
 #include <gtest/gtest.h>
@@ -143,60 +144,67 @@ TEST(CampaignRunner, ExhaustedRetriesQuarantineButTheCampaignEnds)
     EXPECT_EQ(r.payloads[2], payloadOf(2));
 }
 
-TEST(CampaignRunner, WatchdogRequeuesAHungShard)
+TEST(CampaignRunner, DeadlineRequiresProcessMode)
 {
     Guard guard;
-    CampaignOptions co;
-    co.workers = 2;
-    co.shardDeadline = 0.15;
-    co.retries = 2;
-    co.backoff = 0.001;
-    // First attempt of shard 0 hangs well past the deadline; the
-    // watchdog must abandon it and the retry succeeds.  The sleep
-    // outlives runCampaign as a detached worker, which is exactly
-    // the design: everything it touches is shared-ptr-owned.
-    ShardFn hanger = [](std::uint64_t shard, int attempt) {
-        if (shard == 0 && attempt == 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1200));
-        return payloadOf(shard);
-    };
-    CampaignResult r = runCampaign(3, hanger, co);
-    ASSERT_TRUE(r.complete());
-    EXPECT_GE(r.retried, 1u);
-    EXPECT_GE(r.shards[0].attempts, 2);
-    EXPECT_EQ(r.payloads[0], payloadOf(0));
+    std::string path = tempPath("deadline_threads");
+    std::remove(path.c_str());
+    // A hung thread cannot be killed, so an in-process deadline could
+    // only abandon a worker still running the caller's shard fn.
+    // Rejected up front, before any shard runs or journal opens.
+    for (int workers : {1, 2}) {
+        CampaignOptions co;
+        co.workers = workers;
+        co.shardDeadline = 0.15;
+        co.checkpoint = path;
+        int calls = 0;
+        ShardFn counting = [&calls](std::uint64_t shard, int) {
+            ++calls;
+            return payloadOf(shard);
+        };
+        EXPECT_THROW(runCampaign(3, counting, co),
+                     std::invalid_argument)
+            << workers << " workers";
+        EXPECT_EQ(calls, 0);
+        EXPECT_NE(access(path.c_str(), F_OK), 0)
+            << "journal created for a rejected campaign";
+    }
 }
 
 TEST(CampaignRunner, StopAfterInterruptsAndResumeIsByteIdentical)
 {
     Guard guard;
     std::string path = tempPath("resume");
-    std::remove(path.c_str());
 
     CampaignResult straight = runCampaign(8, simpleWork(), {});
     ASSERT_TRUE(straight.complete());
 
-    CampaignOptions co;
-    co.checkpoint = path;
-    co.configTag = "runner-test v1";
-    co.stopAfter = 3;
-    CampaignResult cut = runCampaign(8, simpleWork(), co);
-    EXPECT_TRUE(cut.interrupted);
-    EXPECT_FALSE(cut.complete());
-    EXPECT_GE(cut.completed, 3u);
-    EXPECT_GT(cut.skipped, 0u);
+    for (int workers : {1, 4}) {
+        std::remove(path.c_str());
+        CampaignOptions co;
+        co.workers = workers;
+        co.checkpoint = path;
+        co.configTag = "runner-test v1";
+        co.stopAfter = 3;
+        CampaignResult cut = runCampaign(8, simpleWork(), co);
+        EXPECT_TRUE(cut.interrupted) << workers << " workers";
+        EXPECT_FALSE(cut.complete()) << workers << " workers";
+        EXPECT_GE(cut.completed, 3u) << workers << " workers";
+        EXPECT_GT(cut.skipped, 0u) << workers << " workers";
 
-    CampaignOptions rco;
-    rco.checkpoint = path;
-    rco.configTag = "runner-test v1";
-    rco.resume = true;
-    CampaignResult resumed = runCampaign(8, simpleWork(), rco);
-    ASSERT_TRUE(resumed.complete());
-    EXPECT_GE(resumed.restored, 3u);
-    // The pinned property: interrupted + resumed == uninterrupted,
-    // byte for byte.
-    EXPECT_EQ(joined(resumed.payloads), joined(straight.payloads));
+        CampaignOptions rco;
+        rco.workers = workers;
+        rco.checkpoint = path;
+        rco.configTag = "runner-test v1";
+        rco.resume = true;
+        CampaignResult resumed = runCampaign(8, simpleWork(), rco);
+        ASSERT_TRUE(resumed.complete()) << workers << " workers";
+        EXPECT_GE(resumed.restored, 3u) << workers << " workers";
+        // The pinned property: interrupted + resumed ==
+        // uninterrupted, byte for byte.
+        EXPECT_EQ(joined(resumed.payloads), joined(straight.payloads))
+            << workers << " workers";
+    }
     std::remove(path.c_str());
 }
 

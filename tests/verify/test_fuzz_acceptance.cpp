@@ -30,7 +30,7 @@ TEST(FuzzAcceptance, FiveHundredScenariosZeroFailures)
     verify::FuzzOptions opt;
     opt.iterations = 500;
     opt.seed = 1;
-    opt.jobs = 8;
+    opt.campaign.workers = 8;
     opt.mutationsPerCase = 2;
 
     verify::FuzzSummary sum = verify::runFuzz(opt);
@@ -58,9 +58,9 @@ TEST(FuzzAcceptance, SummaryIndependentOfJobs)
     opt.seed = 77;
     opt.mutationsPerCase = 1;
 
-    opt.jobs = 1;
+    opt.campaign.workers = 1;
     verify::FuzzSummary s1 = verify::runFuzz(opt);
-    opt.jobs = 8;
+    opt.campaign.workers = 8;
     verify::FuzzSummary s8 = verify::runFuzz(opt);
 
     EXPECT_EQ(verify::summaryLine(s1), verify::summaryLine(s8));
@@ -144,7 +144,7 @@ TEST(FuzzAcceptance, ShrinkingProducesMinimalReproducers)
     opt.check.equivalence.trials = 1;
     opt.check.checkDecompositions = false;
     opt.shrink = true;
-    opt.jobs = 3;
+    opt.campaign.workers = 3;
 
     verify::FuzzSummary sum = verify::runFuzz(opt);
     ASSERT_EQ(sum.failures.size(), 3u);

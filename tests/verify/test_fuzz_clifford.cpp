@@ -24,7 +24,7 @@ TEST(FuzzClifford, FiveHundredScenariosAtHundredQubitsExact)
     verify::FuzzOptions opt;
     opt.iterations = 500;
     opt.seed = 2;
-    opt.jobs = 8;
+    opt.campaign.workers = 8;
     opt.mapperTrials = 1;
     opt.check.checkDecompositions = false;
     opt.scenario.cliffordOnly = true;
@@ -60,7 +60,7 @@ TEST(FuzzClifford, MutationDetectionAtScale)
     verify::FuzzOptions opt;
     opt.iterations = 60;
     opt.seed = 3;
-    opt.jobs = 8;
+    opt.campaign.workers = 8;
     opt.mapperTrials = 1;
     opt.mutationsPerCase = 1;
     opt.check.checkDecompositions = false;
@@ -101,9 +101,9 @@ TEST(FuzzClifford, SummaryIndependentOfJobsWithNewOptions)
     opt.scenario.structuredFraction = 0.5;
     opt.scenario.withNoise = true;
 
-    opt.jobs = 1;
+    opt.campaign.workers = 1;
     verify::FuzzSummary s1 = verify::runFuzz(opt);
-    opt.jobs = 5;
+    opt.campaign.workers = 5;
     verify::FuzzSummary s5 = verify::runFuzz(opt);
 
     EXPECT_TRUE(s1.ok());

@@ -24,7 +24,7 @@
  * resume hint), and --resume FILE replays the journal so the resumed
  * summary is byte-identical to an uninterrupted run.  --processes N
  * forks one worker per shard so a crashing shard costs a retry, not
- * the campaign.
+ * the campaign; only then can --shard-deadline kill a hung one.
  */
 
 #include <cstdio>
@@ -38,41 +38,12 @@
 #include "core/env.h"
 #include "robust/fault.h"
 #include "robust/runner.h"
+#include "service/json.h"
 #include "verify/fuzz.h"
 
 using namespace tqan;
 
 namespace {
-
-int
-intFlag(const std::string &flag, const std::string &value)
-{
-    try {
-        size_t used = 0;
-        int v = std::stoi(value, &used);
-        if (used == value.size())
-            return v;
-    } catch (const std::exception &) {
-    }
-    std::fprintf(stderr, "tqan-fuzz: bad integer '%s' for %s\n",
-                 value.c_str(), flag.c_str());
-    std::exit(2);
-}
-
-double
-doubleFlag(const std::string &flag, const std::string &value)
-{
-    try {
-        size_t used = 0;
-        double v = std::stod(value, &used);
-        if (used == value.size())
-            return v;
-    } catch (const std::exception &) {
-    }
-    std::fprintf(stderr, "tqan-fuzz: bad number '%s' for %s\n",
-                 value.c_str(), flag.c_str());
-    std::exit(2);
-}
 
 void
 printHelp(std::FILE *out)
@@ -123,7 +94,8 @@ printHelp(std::FILE *out)
         "                    an uninterrupted run\n"
         "  --processes N     fork one worker process per shard (at\n"
         "                    most N live); crashes cost one retry\n"
-        "  --shard-deadline S  seconds before a hung shard is\n"
+        "  --shard-deadline S  with --processes: seconds before a\n"
+        "                    hung child is killed and its shard\n"
         "                    requeued (default: no deadline)\n"
         "  --retries N       extra attempts before a shard is\n"
         "                    quarantined (default 2)\n"
@@ -144,7 +116,9 @@ main(int argc, char **argv)
     // "7junk" as 7 silently; see core/env.h).
     opt.seed = core::envUint64Or("TQAN_FUZZ_SEED", 1);
     std::string outDir = "fuzz-failures";
-    std::string replayFile, dumpSeed;
+    std::string replayFile;
+    std::uint64_t dumpSeed = 0;
+    bool dump = false;
     double minDetection = 95.0;
     bool verbose = false;
 
@@ -159,20 +133,24 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // After next(), argv[i] is the value that failed to parse.
+        auto bad = [&]() {
+            std::fprintf(stderr, "tqan-fuzz: bad value '%s' for %s\n",
+                         argv[i], a.c_str());
+            return 2;
+        };
         if (a == "--help" || a == "-h") {
             printHelp(stdout);
             return 0;
         } else if (a == "--iterations") {
-            opt.iterations = intFlag(a, next());
+            if (!service::parseI32(next(), &opt.iterations))
+                return bad();
         } else if (a == "--seed") {
-            try {
-                opt.seed = std::stoull(next());
-            } catch (const std::exception &) {
-                std::fprintf(stderr, "tqan-fuzz: bad --seed\n");
-                return 2;
-            }
+            if (!service::parseU64(next(), &opt.seed))
+                return bad();
         } else if (a == "--jobs") {
-            opt.jobs = intFlag(a, next());
+            if (!service::parseI32(next(), &opt.campaign.workers))
+                return bad();
         } else if (a == "--backends") {
             std::istringstream is(next());
             std::string tok;
@@ -180,46 +158,48 @@ main(int argc, char **argv)
                 if (!tok.empty())
                     opt.backends.push_back(tok);
         } else if (a == "--max-qubits") {
-            opt.scenario.maxQubits = intFlag(a, next());
+            if (!service::parseI32(next(), &opt.scenario.maxQubits))
+                return bad();
         } else if (a == "--min-qubits") {
-            opt.scenario.minQubits = intFlag(a, next());
+            if (!service::parseI32(next(), &opt.scenario.minQubits))
+                return bad();
         } else if (a == "--max-device") {
-            opt.scenario.maxDeviceQubits = intFlag(a, next());
+            if (!service::parseI32(next(),
+                                   &opt.scenario.maxDeviceQubits))
+                return bad();
         } else if (a == "--clifford") {
             opt.scenario.cliffordOnly = true;
         } else if (a == "--structured") {
-            opt.scenario.structuredFraction = doubleFlag(a, next());
+            if (!service::parseF64(next(),
+                                   &opt.scenario.structuredFraction))
+                return bad();
         } else if (a == "--noise") {
             opt.scenario.withNoise = true;
         } else if (a == "--trials") {
-            opt.check.equivalence.trials = intFlag(a, next());
+            if (!service::parseI32(next(),
+                                   &opt.check.equivalence.trials))
+                return bad();
         } else if (a == "--mutate") {
-            opt.mutationsPerCase = intFlag(a, next());
+            if (!service::parseI32(next(), &opt.mutationsPerCase))
+                return bad();
         } else if (a == "--min-detection") {
-            std::string v = next();
-            try {
-                size_t used = 0;
-                minDetection = std::stod(v, &used);
-                if (used != v.size())
-                    throw std::invalid_argument(v);
-            } catch (const std::exception &) {
-                std::fprintf(stderr,
-                             "tqan-fuzz: bad percentage '%s' for "
-                             "--min-detection\n",
-                             v.c_str());
-                return 2;
-            }
+            if (!service::parseF64(next(), &minDetection))
+                return bad();
         } else if (a == "--checkpoint") {
             opt.campaign.checkpoint = next();
         } else if (a == "--resume") {
             opt.campaign.checkpoint = next();
             opt.campaign.resume = true;
         } else if (a == "--processes") {
-            opt.campaign.processes = intFlag(a, next());
+            if (!service::parseI32(next(), &opt.campaign.processes))
+                return bad();
         } else if (a == "--shard-deadline") {
-            opt.campaign.shardDeadline = doubleFlag(a, next());
+            if (!service::parseF64(next(),
+                                   &opt.campaign.shardDeadline))
+                return bad();
         } else if (a == "--retries") {
-            opt.campaign.retries = intFlag(a, next());
+            if (!service::parseI32(next(), &opt.campaign.retries))
+                return bad();
         } else if (a == "--no-shrink") {
             opt.shrink = false;
         } else if (a == "--no-decomp") {
@@ -229,7 +209,9 @@ main(int argc, char **argv)
         } else if (a == "--replay") {
             replayFile = next();
         } else if (a == "--dump") {
-            dumpSeed = next();
+            if (!service::parseU64(next(), &dumpSeed))
+                return bad();
+            dump = true;
         } else if (a == "--verbose") {
             verbose = true;
         } else {
@@ -240,7 +222,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (opt.iterations < 1 || opt.jobs < 1 ||
+    if (opt.iterations < 1 || opt.campaign.workers < 1 ||
         opt.campaign.processes < 0 || opt.campaign.retries < 0 ||
         opt.campaign.shardDeadline < 0.0 ||
         opt.scenario.minQubits < 1 ||
@@ -250,6 +232,14 @@ main(int argc, char **argv)
         std::fprintf(stderr, "tqan-fuzz: bad option values\n");
         return 2;
     }
+    if (opt.campaign.shardDeadline > 0.0 &&
+        opt.campaign.processes == 0) {
+        // A hung thread cannot be killed; only a forked worker can
+        // be held to a deadline.
+        std::fprintf(stderr, "tqan-fuzz: --shard-deadline needs "
+                             "--processes N\n");
+        return 2;
+    }
     if (opt.scenario.maxDeviceQubits < opt.scenario.maxQubits)
         opt.scenario.maxDeviceQubits = opt.scenario.maxQubits;
 
@@ -257,9 +247,9 @@ main(int argc, char **argv)
         for (const auto &b : opt.backends)
             core::backendByName(b);  // fail fast on typos
 
-        if (!dumpSeed.empty()) {
-            testgen::Scenario s = testgen::randomScenario(
-                std::stoull(dumpSeed), opt.scenario);
+        if (dump) {
+            testgen::Scenario s =
+                testgen::randomScenario(dumpSeed, opt.scenario);
             std::fputs(testgen::toSpec(s).c_str(), stdout);
             return 0;
         }

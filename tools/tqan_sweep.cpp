@@ -30,6 +30,7 @@
 #include "core/sweep.h"
 #include "robust/fault.h"
 #include "robust/runner.h"
+#include "service/json.h"
 #include "simd/dispatch.h"
 
 using namespace tqan;
@@ -43,38 +44,6 @@ joined(const std::vector<std::string> &names, const char *sep)
     for (const auto &n : names)
         s += (s.empty() ? "" : sep) + n;
     return s;
-}
-
-/** Strict integer flag parse: rejects trailing garbage instead of
- * silently truncating like atoi ("--warmup two" must not mean 0). */
-int
-intFlag(const std::string &flag, const std::string &value)
-{
-    try {
-        size_t used = 0;
-        int v = std::stoi(value, &used);
-        if (used == value.size())
-            return v;
-    } catch (const std::exception &) {
-    }
-    std::fprintf(stderr, "tqan-sweep: bad integer '%s' for %s\n",
-                 value.c_str(), flag.c_str());
-    std::exit(2);
-}
-
-double
-doubleFlag(const std::string &flag, const std::string &value)
-{
-    try {
-        size_t used = 0;
-        double v = std::stod(value, &used);
-        if (used == value.size())
-            return v;
-    } catch (const std::exception &) {
-    }
-    std::fprintf(stderr, "tqan-sweep: bad number '%s' for %s\n",
-                 value.c_str(), flag.c_str());
-    std::exit(2);
 }
 
 void
@@ -137,7 +106,6 @@ printHelp(std::FILE *out)
         "                    continues with byte-identical output\n"
         "  --resume FILE     resume from (and keep journaling to)\n"
         "                    FILE\n"
-        "  --shard-deadline S  seconds before a hung job is requeued\n"
         "  --retries N       extra attempts before a job is\n"
         "                    quarantined (default 2)\n"
         "  --version         print the version, detected CPU caps\n"
@@ -287,6 +255,13 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // After next(), argv[i] is the value that failed to parse.
+        auto bad = [&]() {
+            std::fprintf(stderr,
+                         "tqan-sweep: bad value '%s' for %s\n",
+                         argv[i], a.c_str());
+            return 2;
+        };
         if (a == "--help" || a == "-h") {
             printHelp(stdout);
             return 0;
@@ -308,7 +283,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (a == "--jobs") {
-            jobs = intFlag(a, next());
+            if (!service::parseI32(next(), &jobs))
+                return bad();
         } else if (a == "--format") {
             format = next();
         } else if (a == "--tables") {
@@ -320,9 +296,11 @@ main(int argc, char **argv)
         } else if (a == "--bench") {
             bench = true;
         } else if (a == "--warmup") {
-            warmup = intFlag(a, next());
+            if (!service::parseI32(next(), &warmup))
+                return bad();
         } else if (a == "--repeat") {
-            repeat = intFlag(a, next());
+            if (!service::parseI32(next(), &repeat))
+                return bad();
         } else if (a == "--out") {
             outFile = next();
         } else if (a == "--baseline") {
@@ -334,10 +312,9 @@ main(int argc, char **argv)
         } else if (a == "--resume") {
             campaign.checkpoint = next();
             campaign.resume = true;
-        } else if (a == "--shard-deadline") {
-            campaign.shardDeadline = doubleFlag(a, next());
         } else if (a == "--retries") {
-            campaign.retries = intFlag(a, next());
+            if (!service::parseI32(next(), &campaign.retries))
+                return bad();
         } else if (!a.empty() && a[0] == '-' && a != "-") {
             std::fprintf(stderr,
                          "tqan-sweep: unknown option '%s' (run "
@@ -373,9 +350,8 @@ main(int argc, char **argv)
                              "--warmup >= 0\n");
         return 2;
     }
-    if (campaign.retries < 0 || campaign.shardDeadline < 0.0) {
-        std::fprintf(stderr, "tqan-sweep: --retries must be >= 0 "
-                             "and --shard-deadline >= 0\n");
+    if (campaign.retries < 0) {
+        std::fprintf(stderr, "tqan-sweep: --retries must be >= 0\n");
         return 2;
     }
 

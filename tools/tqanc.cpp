@@ -34,6 +34,7 @@
 #include "ham/trotter.h"
 #include "qap/mapper.h"
 #include "qcir/qasm.h"
+#include "service/json.h"
 
 using namespace tqan;
 
@@ -135,6 +136,12 @@ main(int argc, char **argv)
                 throw std::runtime_error("missing value for " + a);
             return argv[++i];
         };
+        // After next(), argv[i] is the value that failed to parse.
+        auto bad = [&]() {
+            return std::runtime_error("bad value '" +
+                                      std::string(argv[i]) +
+                                      "' for " + a);
+        };
         try {
             if (a == "--device")
                 dev = next();
@@ -145,12 +152,15 @@ main(int argc, char **argv)
                 // should not survive until the compile starts.
                 pipeline = next();
                 core::backendByName(pipeline);
-            } else if (a == "--time")
-                t = std::stod(next());
-            else if (a == "--seed")
-                seed = std::stoull(next());
-            else if (a == "--jobs") {
-                jobs = std::stoi(next());
+            } else if (a == "--time") {
+                if (!service::parseF64(next(), &t))
+                    throw bad();
+            } else if (a == "--seed") {
+                if (!service::parseU64(next(), &seed))
+                    throw bad();
+            } else if (a == "--jobs") {
+                if (!service::parseI32(next(), &jobs))
+                    throw bad();
                 tqan_only.push_back(a);
             } else if (a == "--mapper") {
                 mapper = next();
@@ -161,7 +171,8 @@ main(int argc, char **argv)
                 core::routerByName(router);
                 tqan_only.push_back(a);
             } else if (a == "--trials") {
-                trials = std::stoi(next());
+                if (!service::parseI32(next(), &trials))
+                    throw bad();
                 tqan_only.push_back(a);
             } else if (a == "--noise-aware") {
                 noise_aware = true;
