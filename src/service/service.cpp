@@ -38,6 +38,12 @@ constexpr std::size_t kMaxLineBytes = std::size_t(16) << 20;
 /** Latency ring size for the p50/p99 estimates. */
 constexpr std::size_t kLatWindow = 4096;
 
+/** Topology memo bounds: a service sees a few devices.  Larger
+ * devices are rebuilt per request rather than pinned, and a full
+ * memo is cleared before the next insert. */
+constexpr std::size_t kTopologyMemoSpecs = 16;
+constexpr int kTopologyMemoMaxQubits = 1024;
+
 double
 msSince(Clock::time_point t0)
 {
@@ -200,18 +206,26 @@ u64Field(const JsonObject &obj, const std::string &key,
 
 } // namespace
 
-/** One fully materialized compile request: the parsed inputs the
- * BatchJob's non-owning pointers reference, plus the canonical form
- * and key. */
+/** One compile request: keyed by keyRequest(), and on a miss
+ * prepared by prepare() into the inputs the BatchJob's non-owning
+ * pointers reference. */
 struct CompileService::Prepared
 {
     CompileRequest req;
-    ham::TwoLocalHamiltonian h;
-    qcir::Circuit step;
-    device::Topology topo;
-    device::GateSet gs;
-    std::uint64_t key;
+    std::shared_ptr<const device::Topology> topo;
+    device::GateSet gs = device::GateSet::Cnot;
+    std::uint64_t key = 0;
     std::string canonical;
+    ham::TwoLocalHamiltonian h{0};  ///< prepare() only
+    qcir::Circuit step;             ///< prepare() only
+};
+
+struct CompileService::Admission
+{
+    Clock::time_point t0;
+    std::string response;            ///< unless `miss` is set
+    std::unique_ptr<Prepared> miss;  ///< a prepared cache miss
+    bool shutdown = false;
 };
 
 struct CompileService::Slot
@@ -237,6 +251,10 @@ std::string
 CompileService::canonicalRequest(const CompileRequest &req,
                                  const device::Topology &topo)
 {
+    // Hits skip the Hamiltonian parse: only successful compiles are
+    // inserted, so a key can only hit on `ham` text this build's
+    // parser accepted.  That holds only while this tag changes
+    // whenever the parser's accepted input changes — bump it then.
     std::string s = "tqan-compile-v1\n";
     s += "backend=" + req.backend + "\n";
     s += "device=" + topo.name() + ":" +
@@ -326,31 +344,54 @@ CompileService::parseCompileRequest(const JsonObject &obj)
     return req;
 }
 
-std::unique_ptr<CompileService::Prepared>
-CompileService::materialize(CompileRequest req) const
+std::shared_ptr<const device::Topology>
+CompileService::topology(const std::string &spec)
 {
-    ham::TwoLocalHamiltonian h = ham::parseHamiltonian(req.ham);
-    device::Topology topo = testgen::topologyFromSpec(req.device);
-    device::GateSet gs = device::gateSetByName(req.gateset);
+    {
+        std::lock_guard<std::mutex> lock(topoMu_);
+        auto it = topos_.find(spec);
+        if (it != topos_.end())
+            return it->second;
+    }
+    auto topo = std::make_shared<const device::Topology>(
+        testgen::topologyFromSpec(spec));
+    if (topo->numQubits() <= kTopologyMemoMaxQubits) {
+        std::lock_guard<std::mutex> lock(topoMu_);
+        if (topos_.size() >= kTopologyMemoSpecs)
+            topos_.clear();
+        topos_.emplace(spec, topo);
+    }
+    return topo;
+}
+
+std::unique_ptr<CompileService::Prepared>
+CompileService::keyRequest(CompileRequest req)
+{
+    auto p = std::make_unique<Prepared>();
+    p->topo = topology(req.device);
+    p->gs = device::gateSetByName(req.gateset);
     core::backendByName(req.backend);  // reject unknowns up front
-    qcir::Circuit step = ham::trotterStep(h, req.time);
-    auto p = std::unique_ptr<Prepared>(new Prepared{
-        std::move(req), std::move(h), std::move(step),
-        std::move(topo), gs, 0, std::string()});
+    p->req = std::move(req);
     if (p->req.noiseAware) {
         // Same synthetic-calibration derivation as `tqanc
-        // --noise-aware` (parity is pinned by tests).  Synthesized
-        // against p->topo AFTER the move above: the NoiseMap keeps
-        // a pointer to its topology, which must be the one that
-        // stays alive for the compile.
+        // --noise-aware` (parity is pinned by tests).  The NoiseMap
+        // keeps a pointer to its topology; p->topo keeps that one
+        // alive for the compile.
         std::mt19937_64 nrng(p->req.options.seed ^ 0xCA11B8A7Eull);
         p->req.options.noiseMap =
             std::make_shared<device::NoiseMap>(
-                device::NoiseMap::synthetic(p->topo, nrng));
+                device::NoiseMap::synthetic(*p->topo, nrng));
     }
-    p->canonical = canonicalRequest(p->req, p->topo);
+    p->canonical = canonicalRequest(p->req, *p->topo);
     p->key = core::fnv1a64(p->canonical);
     return p;
+}
+
+void
+CompileService::prepare(Prepared &p)
+{
+    p.h = ham::parseHamiltonian(p.req.ham);
+    p.step = ham::trotterStep(p.h, p.req.time);
 }
 
 core::BatchJob
@@ -358,7 +399,7 @@ CompileService::makeBatchJob(const Prepared &p) const
 {
     core::BatchJob bj;
     bj.backend = p.req.backend;
-    bj.topo = &p.topo;
+    bj.topo = p.topo.get();
     bj.gateset = p.gs;
     bj.job.step = &p.step;
     bj.job.hamiltonian = &p.h;
@@ -393,7 +434,7 @@ CompileService::payloadFromResult(const Prepared &p,
     const core::CompilationMetrics &m = r.metrics;
     std::string s;
     s += "\"backend\":\"" + jsonEscape(p.req.backend) + "\"";
-    s += ",\"device\":\"" + jsonEscape(p.topo.name()) + "\"";
+    s += ",\"device\":\"" + jsonEscape(p.topo->name()) + "\"";
     s += ",\"gateset\":\"" + device::gateSetName(p.gs) + "\"";
     s += ",\"nqubits\":" + std::to_string(p.h.numQubits());
     s += ",\"swaps\":" + std::to_string(m.swaps);
@@ -514,10 +555,11 @@ CompileService::stats() const
     return s;
 }
 
-std::string
-CompileService::handleLine(const std::string &line)
+CompileService::Admission
+CompileService::admit(const std::string &line)
 {
-    Clock::time_point t0 = Clock::now();
+    Admission a;
+    a.t0 = Clock::now();
     {
         std::lock_guard<std::mutex> lock(statsMu_);
         ++st_.requests;
@@ -532,33 +574,59 @@ CompileService::handleLine(const std::string &line)
                 std::to_string(kMaxLineBytes) + " bytes");
         JsonObject obj = parseJsonObject(line);
         id = stringField(obj, "id", "");
+        // An injected reader fault costs exactly this request (it
+        // becomes an error response), never the loop.
         if (robust::faultPoint("service.reader"))
             throw std::runtime_error(
                 "injected fault: service.reader");
         std::string type = stringField(obj, "type", "");
-        if (type == "stats")
-            return statsResponse(id);
-        if (type == "shutdown")
-            return "{\"id\":\"" + jsonEscape(id) +
-                   "\",\"status\":\"ok\",\"type\":\"shutdown\"}";
+        if (type == "stats") {
+            a.response = statsResponse(id);
+            return a;
+        }
+        if (type == "shutdown") {
+            a.response = "{\"id\":\"" + jsonEscape(id) +
+                         "\",\"status\":\"ok\",\"type\":"
+                         "\"shutdown\"}";
+            a.shutdown = true;
+            return a;
+        }
         if (type != "compile")
             throw std::invalid_argument(
                 "field \"type\" must be compile | stats | "
                 "shutdown");
 
-        CompileRequest req = parseCompileRequest(obj);
-        std::unique_ptr<Prepared> p = materialize(std::move(req));
+        std::unique_ptr<Prepared> p =
+            keyRequest(parseCompileRequest(obj));
         std::string payload;
         if (cache_.lookup(p->key, p->canonical, &payload)) {
-            recordLatency(msSince(t0) / 1e3, true);
-            return okResponse(p->req.id, true, p->key, payload);
+            // Warm path: no parse, no Trotter step, no queue.
+            recordLatency(msSince(a.t0) / 1e3, true);
+            a.response = okResponse(p->req.id, true, p->key, payload);
+            return a;
         }
-        payload = compilePayload(*p);
-        cache_.insert(p->key, p->canonical, payload);
-        recordLatency(msSince(t0) / 1e3, false);
-        return okResponse(p->req.id, false, p->key, payload);
+        prepare(*p);
+        a.miss = std::move(p);
     } catch (const std::exception &e) {
-        return errorResponse(id, "error", e.what());
+        a.response = errorResponse(id, "error", e.what());
+    }
+    return a;
+}
+
+std::string
+CompileService::handleLine(const std::string &line)
+{
+    Admission a = admit(line);
+    if (!a.miss)
+        return a.response;
+    const Prepared &p = *a.miss;
+    try {
+        std::string payload = compilePayload(p);
+        cache_.insert(p.key, p.canonical, payload);
+        recordLatency(msSince(a.t0) / 1e3, false);
+        return okResponse(p.req.id, false, p.key, payload);
+    } catch (const std::exception &e) {
+        return errorResponse(p.req.id, "error", e.what());
     }
 }
 
@@ -737,85 +805,29 @@ CompileService::serve(std::istream &in, std::ostream &out)
     while (!shuttingDown && std::getline(in, line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        Clock::time_point t0 = Clock::now();
-        {
-            std::lock_guard<std::mutex> slock(statsMu_);
-            ++st_.requests;
-        }
-        core::profile::count("service.request");
-
         auto slot = std::make_shared<Slot>();
-        std::string immediate;
-        std::unique_ptr<Prepared> prep;
-        double deadlineMs = 0.0;
-        std::string id;
-        try {
-            if (line.size() > kMaxLineBytes)
-                throw std::invalid_argument(
-                    "request line exceeds " +
-                    std::to_string(kMaxLineBytes) + " bytes");
-            JsonObject obj = parseJsonObject(line);
-            id = stringField(obj, "id", "");
-            // An injected reader fault costs exactly this request
-            // (it becomes an error response), never the loop.
-            if (robust::faultPoint("service.reader"))
-                throw std::runtime_error(
-                    "injected fault: service.reader");
-            std::string type = stringField(obj, "type", "");
-            if (type == "stats") {
-                immediate = statsResponse(id);
-            } else if (type == "shutdown") {
-                immediate = "{\"id\":\"" + jsonEscape(id) +
-                            "\",\"status\":\"ok\",\"type\":"
-                            "\"shutdown\"}";
-                shuttingDown = true;
-            } else if (type != "compile") {
-                throw std::invalid_argument(
-                    "field \"type\" must be compile | stats | "
-                    "shutdown");
-            } else {
-                CompileRequest req = parseCompileRequest(obj);
-                deadlineMs = req.deadlineMs > 0.0
-                                 ? req.deadlineMs
-                                 : opt_.defaultDeadlineMs;
-                prep = materialize(std::move(req));
-                std::string payload;
-                if (cache_.lookup(prep->key, prep->canonical,
-                                  &payload)) {
-                    // Warm path: answered at admission, without
-                    // ever touching the queue.
-                    recordLatency(msSince(t0) / 1e3, true);
-                    immediate = okResponse(prep->req.id, true,
-                                           prep->key, payload);
-                    prep.reset();
-                }
-            }
-        } catch (const std::exception &e) {
-            immediate = errorResponse(id, "error", e.what());
-            prep.reset();
-        }
-
+        Admission a = admit(line);
+        shuttingDown = a.shutdown;
         {
             std::lock_guard<std::mutex> lock(mu);
             order.push_back(slot);
-            if (prep) {
-                if (pending.size() >= opt_.maxQueue) {
-                    slot->response = errorResponse(
-                        prep->req.id, "rejected",
-                        "admission queue full (" +
-                            std::to_string(opt_.maxQueue) +
-                            " pending)");
-                    slot->done = true;
-                    prep.reset();
-                } else {
-                    pending.push_back(PendingItem{
-                        slot, std::move(prep), t0, deadlineMs});
-                    std::lock_guard<std::mutex> slock(statsMu_);
-                    st_.queueDepth = pending.size();
-                }
-            } else {
-                slot->response = std::move(immediate);
+            if (!a.miss) {
+                slot->response = std::move(a.response);
                 slot->done = true;
+            } else if (pending.size() >= opt_.maxQueue) {
+                slot->response = errorResponse(
+                    a.miss->req.id, "rejected",
+                    "admission queue full (" +
+                        std::to_string(opt_.maxQueue) + " pending)");
+                slot->done = true;
+            } else {
+                double deadlineMs = a.miss->req.deadlineMs > 0.0
+                                        ? a.miss->req.deadlineMs
+                                        : opt_.defaultDeadlineMs;
+                pending.push_back(PendingItem{
+                    slot, std::move(a.miss), a.t0, deadlineMs});
+                std::lock_guard<std::mutex> slock(statsMu_);
+                st_.queueDepth = pending.size();
             }
         }
         pendingCv.notify_one();

@@ -27,6 +27,15 @@
  * path the store persists across restarts (service/cache.h; corrupt
  * or truncated tails are verified away on open, never served).
  *
+ * A compile request is admitted in two steps.  Key (every request):
+ * resolve the device topology (memoized per device spec), validate
+ * the gate set and backend, synthesize the noise map when
+ * noise_aware is set, and hash the canonical form, which carries the
+ * RAW Hamiltonian text.  Prepare (misses only): parse the
+ * Hamiltonian and build its Trotter step.  A hit is answered from
+ * the key alone; only successful compiles are ever inserted, so a
+ * key can only hit on text this build's parser once accepted.
+ *
  * serve() is the daemon loop: a bounded admission queue (overflow
  * is rejected immediately), per-request deadlines (a request that
  * waited past its deadline is expired, not compiled), cache hits
@@ -46,6 +55,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/batch.h"
@@ -165,10 +175,26 @@ class CompileService
     static CompileRequest parseCompileRequest(const JsonObject &obj);
 
   private:
-    struct Prepared;  // a materialized compile request
-    struct Slot;      // one in-order response slot of serve()
+    struct Prepared;   // a keyed (and, on a miss, prepared) request
+    struct Admission;  // what admit() made of one request line
+    struct Slot;       // one in-order response slot of serve()
 
-    std::unique_ptr<Prepared> materialize(CompileRequest req) const;
+    /** The admission sequence handleLine() and serve() share: JSON
+     * parse, reader fault point, type switch, parseCompileRequest,
+     * key, cache lookup, and prepare on a miss.  Answers everything
+     * but a miss; never throws. */
+    Admission admit(const std::string &line);
+    /** Key step: topology, gate set, backend, noise map, canonical
+     * form and key.  @throws std::invalid_argument */
+    std::unique_ptr<Prepared> keyRequest(CompileRequest req);
+    /** Prepare step (misses only): Hamiltonian parse + Trotter step.
+     * @throws std::exception on a malformed Hamiltonian */
+    static void prepare(Prepared &p);
+    /** The topology of a device spec, memoized (bounded) so repeat
+     * requests share one Topology and its hop matrix.
+     * @throws std::invalid_argument */
+    std::shared_ptr<const device::Topology>
+    topology(const std::string &spec);
     /** Cold path: compile through the pool, build the payload JSON
      * fragment.  @throws on backend errors. */
     std::string compilePayload(const Prepared &p) const;
@@ -195,7 +221,11 @@ class CompileService
     ServiceStats st_;
     std::vector<double> latMs_;  ///< ring of recent latencies
     std::size_t latNext_ = 0;
-    bool latFull_ = false;
+
+    std::mutex topoMu_;
+    std::unordered_map<std::string,
+                       std::shared_ptr<const device::Topology>>
+        topos_;
 };
 
 } // namespace service

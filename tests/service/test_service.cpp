@@ -2,8 +2,9 @@
  * @file
  * CompileService tests: protocol strictness, miss -> hit byte
  * identity, parity with the tqanc compile path, restart persistence,
- * corrupted-store recovery, stats, and the serve() daemon loop
- * (in-order responses, bounded admission, deadlines).
+ * corrupted-store recovery, stats, the hit path that never parses
+ * the Hamiltonian, the shared topology memo, and the serve() daemon
+ * loop (in-order responses, bounded admission, deadlines).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/backend.h"
@@ -32,6 +34,11 @@ using service::ServiceOptions;
 namespace {
 
 const char *kHam = "qubits 3\\npair 0 1 0 0 0.7\\npair 1 2 0 0 0.7\\n";
+
+/** A compile request whose `ham` the parser rejects (line 2). */
+const char *kBadHamLine =
+    "{\"type\":\"compile\",\"id\":\"bad\",\"ham\":"
+    "\"qubits 3\\nbogus 0 1\\n\",\"device\":\"line:4\"}";
 
 std::string
 compileLine(const std::string &id, const std::string &extra = "",
@@ -61,6 +68,21 @@ std::string
 tempCache(const std::string &name)
 {
     return testing::TempDir() + "tqan_service_" + name + ".bin";
+}
+
+/** Every response line serve() writes for `input`. */
+std::vector<std::string>
+serveLines(CompileService &svc, const std::string &input)
+{
+    std::istringstream in(input);
+    std::ostringstream out;
+    svc.serve(in, out);
+    std::istringstream lines(out.str());
+    std::vector<std::string> got;
+    std::string line;
+    while (std::getline(lines, line))
+        got.push_back(line);
+    return got;
 }
 
 } // namespace
@@ -215,6 +237,102 @@ TEST(CompileService, RejectsMalformedRequests)
     }
     EXPECT_EQ(svc.stats().errors, bad.size());
     EXPECT_EQ(svc.stats().misses, 0u);
+}
+
+TEST(CompileService, MalformedHamIsAnErrorAndNeverCached)
+{
+    // The parse runs only on a miss, but a bad `ham` is still
+    // answered at admission with the parser's own message, and
+    // nothing is compiled or cached.
+    const std::string expect =
+        "{\"id\":\"bad\",\"status\":\"error\",\"error\":"
+        "\"parseHamiltonian: line 2: unknown keyword 'bogus'\"}";
+    CompileService svc;
+    EXPECT_EQ(svc.handleLine(kBadHamLine), expect);
+    std::vector<std::string> served =
+        serveLines(svc, std::string(kBadHamLine) + "\n");
+    ASSERT_EQ(served.size(), 1u);
+    EXPECT_EQ(served[0], expect);
+    EXPECT_EQ(svc.stats().misses, 0u);
+    EXPECT_EQ(svc.stats().errors, 2u);
+    EXPECT_EQ(svc.stats().cacheEntries, 0u);
+}
+
+TEST(CompileService, HitIsServedWithoutParsingTheHamiltonian)
+{
+    // Plant a payload under the key of a request whose `ham` does
+    // not parse.  Only a hit path that never parses can serve it.
+    std::string path = tempCache("planted");
+    std::remove(path.c_str());
+    service::CompileRequest req = CompileService::parseCompileRequest(
+        service::parseJsonObject(kBadHamLine));
+    device::Topology topo = device::deviceByName(req.device);
+    std::uint64_t key = CompileService::cacheKey(req, topo);
+    const std::string payload = "\"backend\":\"2qan\",\"planted\":1";
+    {
+        service::CompileCache cache(path);
+        cache.insert(key, CompileService::canonicalRequest(req, topo),
+                     payload);
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(key));
+    const std::string expect =
+        "{\"id\":\"bad\",\"status\":\"ok\",\"cache\":\"hit\",\"key\":\"" +
+        std::string(hex) + "\"," + payload + "}";
+
+    ServiceOptions opt;
+    opt.cachePath = path;
+    CompileService svc(opt);
+    EXPECT_EQ(svc.handleLine(kBadHamLine), expect);
+    std::vector<std::string> served =
+        serveLines(svc, std::string(kBadHamLine) + "\n");
+    ASSERT_EQ(served.size(), 1u);
+    EXPECT_EQ(served[0], expect);
+    EXPECT_EQ(svc.stats().hits, 2u);
+    EXPECT_EQ(svc.stats().errors, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(CompileService, TopologyMemoIsSharedAcrossThreads)
+{
+    // Requests over two devices from four threads, then 20 distinct
+    // device specs (more than the memo holds, so it is cleared while
+    // in use): every response matches a single-threaded service.
+    // Line i repeats line i - 8, and both go to thread i % 4, so
+    // hits and misses fall exactly as in the single-threaded run.
+    std::vector<std::string> lines;
+    for (int i = 0; i < 16; ++i)
+        lines.push_back(compileLine(
+            "r" + std::to_string(i),
+            ",\"seed\":" + std::to_string(i % 4),
+            (i / 4) % 2 ? "line:4" : "grid:2x2"));
+    for (int n = 3; n < 23; ++n)
+        lines.push_back(compileLine("d" + std::to_string(n), "",
+                                    "line:" + std::to_string(n)));
+
+    std::vector<std::string> expect;
+    {
+        CompileService single;
+        for (const std::string &line : lines)
+            expect.push_back(single.handleLine(line));
+    }
+    for (const std::string &r : expect)
+        ASSERT_EQ(strOf(decoded(r), "status"), "ok") << r;
+
+    CompileService svc;
+    std::vector<std::string> got(lines.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t i = t; i < lines.size(); i += 4)
+                got[i] = svc.handleLine(lines[i]);
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(got[i], expect[i]) << lines[i];
+    EXPECT_EQ(svc.stats().hits, 8u);
 }
 
 TEST(CompileService, StatsRequestReportsCounters)
