@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <numeric>
 #include <thread>
@@ -60,10 +61,33 @@ namespace qap {
  * O(n * nloc * deg) rescan of the naive kernel.  On the integral path
  * each refresh is O(1) apart from one O(nnz(flow)) sparse pass over
  * t_ per moved facility; on the re-evaluation path each is an
- * O(deg) evaluate() reading two distance rows.
+ * O(deg) evaluate() reading two distance rows.  reset() builds the
+ * integral table the same way, one moved-facility row per facility.
+ *
+ * Row minima.  An update rewrites the rows of u, v and their
+ * partners whole, in touched_ order (u and v first), and writes
+ * single entries into the columns of those facilities in every other
+ * row.  A pair of two touched facilities is refreshed in the row of
+ * the smaller one, so no column write lands in a touched row after
+ * that row's pass: its minimum, taken right after the pass, is final.
+ * An untouched row's minimum is lowered by a smaller written value;
+ * when a write raises an entry equal to the minimum, the row is
+ * queued and recomputed once at the end of update().  Minima ignore
+ * NaN entries, which never pass the scan's strict < either.
  */
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Running minimum that ignores NaN (x < m is false for it), so a
+ * row minimum answers "does the row hold an entry < bound" exactly
+ * as scanning the row with < does. */
+inline double
+lower(double m, double x)
+{
+    return x < m ? x : m;
+}
 
 /** The integral path's data conditions (block comment above):
  * integral entries, a zero distance diagonal and 8 F D < 2^53.  NaN
@@ -111,7 +135,8 @@ isSymmetric(const linalg::FlatMatrix &m)
 
 DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
                        const linalg::FlatMatrix &dist)
-    : dist_(&dist), n_(flow.rows()), nloc_(dist.rows())
+    : dist_(&dist), n_(flow.rows()), nloc_(dist.rows()),
+      keepMins_(static_cast<long>(n_) * nloc_ >= kRowMinsFrom)
 {
     if (flow.rows() != flow.cols())
         throw std::invalid_argument("DeltaTable: flow not square");
@@ -157,7 +182,10 @@ DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
     h_.assign(nloc_, 0.0);
     s_.assign(nloc_, 0.0);
     t_.assign(n_, 0.0);
+    fs_.assign(n_, 0.0);
     cm_.assign(n_, 0.0);
+    rowMin_.assign(n_, kInf);
+    isDirty_.assign(n_, 0);
 }
 
 double
@@ -199,16 +227,74 @@ DeltaTable::evaluate(const std::vector<int> &perm, int a, int b) const
 }
 
 void
+DeltaTable::recomputeRowMin(int a)
+{
+    if (!keepMins_)
+        return;
+    // Four independent chains.  A running min inside a row's write
+    // loop compiles to one min instruction per entry on a single
+    // dependency chain, which costs more than this second pass over
+    // the row while it is still in L1.
+    const double *r = row(a);
+    double m0 = kInf, m1 = kInf, m2 = kInf, m3 = kInf;
+    int b = a + 1;
+    for (; b + 4 <= nloc_; b += 4) {
+        m0 = lower(m0, r[b]);
+        m1 = lower(m1, r[b + 1]);
+        m2 = lower(m2, r[b + 2]);
+        m3 = lower(m3, r[b + 3]);
+    }
+    for (; b < nloc_; ++b)
+        m0 = lower(m0, r[b]);
+    rowMin_[a] = lower(lower(m0, m1), lower(m2, m3));
+}
+
+void
+DeltaTable::columnWriteAtMin(int r, double old, double value)
+{
+    double &m = rowMin_[r];
+    if (value < m) {
+        m = value;
+    } else if (old == m && value != old && !isDirty_[r]) {
+        isDirty_[r] = 1;
+        dirty_.push_back(r);
+    }
+}
+
+inline void
+DeltaTable::setColumnEntry(int r, int b, double value)
+{
+    // A touched row recomputes its minimum after its own pass, which
+    // follows every column write into it.  In any other row a write
+    // can only matter when the new value reaches the minimum (it may
+    // lower it) or the old one held it (it may raise it, and the row
+    // is then recomputed at the end of update()).
+    double &e = table_[static_cast<size_t>(r) * nloc_ + b];
+    double m = rowMin_[r];
+    if (keepMins_ && !inSet_[r] && (value <= m || e == m))
+        columnWriteAtMin(r, e, value);
+    e = value;
+}
+
+void
 DeltaTable::reset(const std::vector<int> &perm)
 {
+    if (exact_) {
+        for (int x = 0; x < n_; ++x)
+            cm_[x] = facilityCost(perm, x);
+        for (int s = 0; s < n_; ++s) {
+            loadMovedFacility(perm, s);
+            rebuildMovedRow(perm, s, -1);
+            unloadMovedFacility(s);
+        }
+        return;
+    }
     for (int a = 0; a < n_; ++a) {
         double *row = table_.data() + static_cast<size_t>(a) * nloc_;
         for (int b = a + 1; b < nloc_; ++b)
             row[b] = evaluate(perm, a, b);
+        recomputeRowMin(a);
     }
-    if (exact_)
-        for (int x = 0; x < n_; ++x)
-            cm_[x] = facilityCost(perm, x);
 }
 
 void
@@ -235,35 +321,45 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
         for (int k = nzOff_[v]; k < nzOff_[v + 1]; ++k)
             mark(nzCol_[k]);
 
-    if (!exact_) {
+    if (exact_) {
+        updateIntegral(perm, u, v);
+    } else {
         // Non-integral data: re-evaluate every stale entry in
         // evaluate() order so cached bits match a fresh computation.
+        // A pair with both ends touched refreshes once, in the row of
+        // its smaller index, so every touched real row is rewritten
+        // whole; the other rows take single column writes.
         for (int s : touched_) {
-            for (int m = 0; m < nloc_; ++m) {
-                if (m == s)
-                    continue;
-                // Pairs with both ends touched refresh once, on the
-                // smaller touched index's turn.
-                if (inSet_[m] && m < s)
-                    continue;
-                int a = std::min(s, m), b = std::max(s, m);
-                if (a >= n_)
-                    continue;  // dummy-dummy pairs never scanned
-                table_[static_cast<size_t>(a) * nloc_ + b] =
-                    evaluate(perm, a, b);
-            }
+            for (int m = 0; m < std::min(s, n_); ++m)
+                if (!inSet_[m])
+                    setColumnEntry(m, s, evaluate(perm, m, s));
+            if (s >= n_)
+                continue;  // dummy-dummy pairs are never scanned
+            double *row = table_.data() + static_cast<size_t>(s) * nloc_;
+            for (int b = s + 1; b < nloc_; ++b)
+                row[b] = evaluate(perm, s, b);
+            recomputeRowMin(s);
         }
-        for (int s : touched_)
-            inSet_[s] = 0;
-        return;
     }
 
-    // Integral fast path.  g is the sparse flow-difference column
-    // and h the dense distance-difference column of the O(1)
-    // correction; both are exact integers, so every path below
-    // produces the same bits evaluate() would.  cm_[x] reads perm[x]
-    // and x's partners, so it went stale for exactly the touched
-    // real facilities; the moved-row refreshes read it.
+    for (int s : touched_)
+        inSet_[s] = 0;
+    for (int r : dirty_) {
+        recomputeRowMin(r);
+        isDirty_[r] = 0;
+    }
+    dirty_.clear();
+}
+
+void
+DeltaTable::updateIntegral(const std::vector<int> &perm, int u, int v)
+{
+    // g is the sparse flow-difference column and h the dense
+    // distance-difference column of the O(1) correction; both are
+    // exact integers, so every path below produces the same bits
+    // evaluate() would.  cm_[x] reads perm[x] and x's partners, so it
+    // went stale for exactly the touched real facilities; the
+    // moved-row refreshes read it.
     for (int s : touched_)
         if (s < n_)
             cm_[s] = facilityCost(perm, s);
@@ -279,6 +375,8 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
         for (int k = nzOff_[v]; k < nzOff_[v + 1]; ++k)
             g_[nzCol_[k]] -= nzVal_[k];
 
+    // u and v come first in touched_, so every column write into a
+    // partner row lands before that row's own pass.
     for (int s : touched_) {
         if (s == u || s == v)
             refreshMovedFacility(perm, s, u, v);
@@ -286,8 +384,6 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
             correctPartnerRow(s, u, v);
     }
 
-    for (int s : touched_)
-        inSet_[s] = 0;
     if (u < n_)
         for (int k = nzOff_[u]; k < nzOff_[u + 1]; ++k)
             g_[nzCol_[k]] = 0.0;
@@ -297,67 +393,94 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
 }
 
 void
-DeltaTable::refreshMovedFacility(const std::vector<int> &perm, int s,
-                                 int u, int v)
+DeltaTable::loadMovedFacility(const std::vector<int> &perm, int s)
 {
-    // Owns every pair that includes the moved facility s; the pair
-    // (u, v) itself is refreshed on u's turn only.  t_ is the one
-    // distance row every entry below reads; partnerSide(m) is m's
-    // half of delta(s, m) (see the block comment above).
-    int ps = perm[s];
-    const double *dps = (*dist_)[ps];
+    // t_ is the one distance row every entry of s reads; for a real
+    // s, s_[x] = sum_k f_sk * d[perm[k]][x] over s's partners k is
+    // the cost of s's flow were s at location x, and fs_ scatters
+    // s's flow row.
+    const double *dps = (*dist_)[perm[s]];
     for (int j = 0; j < n_; ++j)
         t_[j] = dps[perm[j]];
-    auto partnerSide = [this](int m) {
-        double c = 0.0;
-        for (int k = nzOff_[m]; k < nzOff_[m + 1]; ++k)
-            c += nzVal_[k] * t_[nzCol_[k]];
-        return c - cm_[m];
-    };
-
-    if (s >= n_) {
-        // A dummy was moved: only the n real rows can pair with it.
-        for (int a = 0; a < n_; ++a) {
-            if (a == u && s == v)
-                continue;
-            table_[static_cast<size_t>(a) * nloc_ + s] = partnerSide(a);
-        }
+    if (s >= n_)
         return;
-    }
-
-    // s_[x] = sum_k f_sk * d[perm[k]][x] over s's partners k: the
-    // cost of s's flow were s at location x.
     std::fill(s_.begin(), s_.end(), 0.0);
     for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
         const double *drow = (*dist_)[perm[nzCol_[k]]];
         double f = nzVal_[k];
+        fs_[nzCol_[k]] = f;
         for (int x = 0; x < nloc_; ++x)
             s_[x] += f * drow[x];
     }
-    double sHome = s_[ps];
+}
 
-    auto entry = [&](int m) -> double & {
-        int a = std::min(s, m), b = std::max(s, m);
-        return table_[static_cast<size_t>(a) * nloc_ + b];
-    };
-    for (int m = 0; m < n_; ++m) {
-        if (m == s || (s == v && m == u))
-            continue;
-        entry(m) = s_[perm[m]] - sHome + partnerSide(m);
-    }
-    for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
-        int m = nzCol_[k];
-        if (m == s || (s == v && m == u))
-            continue;
-        entry(m) += 2.0 * nzVal_[k] * t_[m];
-    }
-    // Dummy tail: a flowless partner is the pure relocation.
+void
+DeltaTable::unloadMovedFacility(int s)
+{
+    if (s < n_)
+        for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k)
+            fs_[nzCol_[k]] = 0.0;
+}
+
+inline double
+DeltaTable::partnerSide(int m) const
+{
+    // m's half of delta(s, m) for the loaded facility s.
+    double c = 0.0;
+    for (int k = nzOff_[m]; k < nzOff_[m + 1]; ++k)
+        c += nzVal_[k] * t_[nzCol_[k]];
+    return c - cm_[m];
+}
+
+inline double
+DeltaTable::movedDelta(const std::vector<int> &perm, int s, int m) const
+{
+    // delta(s, m) for the loaded real facility s and a real m != s
+    // (block comment above).
+    double d = s_[perm[m]] - s_[perm[s]] + partnerSide(m);
+    if (fs_[m] != 0.0)
+        d += 2.0 * fs_[m] * t_[m];
+    return d;
+}
+
+void
+DeltaTable::rebuildMovedRow(const std::vector<int> &perm, int s,
+                            int keep)
+{
+    // Row s of the loaded real facility, every entry but `keep` (the
+    // pair (u, v), which u's pass owns), then its minimum.
     double *row = table_.data() + static_cast<size_t>(s) * nloc_;
-    for (int b = std::max(n_, s + 1); b < nloc_; ++b) {
-        if (s == v && b == u)
-            continue;
-        row[b] = s_[perm[b]] - sHome;
+    double sHome = s_[perm[s]];
+    for (int m = s + 1; m < n_; ++m)
+        if (m != keep)
+            row[m] = movedDelta(perm, s, m);
+    // Dummy tail: a flowless partner is the pure relocation.
+    for (int b = std::max(n_, s + 1); b < nloc_; ++b)
+        if (b != keep)
+            row[b] = s_[perm[b]] - sHome;
+    recomputeRowMin(s);
+}
+
+void
+DeltaTable::refreshMovedFacility(const std::vector<int> &perm, int s,
+                                 int u, int v)
+{
+    // Owns every pair that includes the moved facility s; the pair
+    // (u, v) itself is refreshed on u's turn only.
+    loadMovedFacility(perm, s);
+    int keep = (s == v) ? u : -1;
+    if (s >= n_) {
+        // A dummy was moved: only the n real rows can pair with it.
+        for (int a = 0; a < n_; ++a)
+            if (a != keep)
+                setColumnEntry(a, s, partnerSide(a));
+        return;
     }
+    for (int m = 0; m < s; ++m)
+        if (m != keep)
+            setColumnEntry(m, s, movedDelta(perm, s, m));
+    rebuildMovedRow(perm, s, keep);
+    unloadMovedFacility(s);
 }
 
 void
@@ -374,8 +497,8 @@ DeltaTable::correctPartnerRow(int w, int u, int v)
             continue;
         double coeff = g_[a] - gw;
         if (coeff != 0.0)
-            table_[static_cast<size_t>(a) * nloc_ + w] +=
-                coeff * (hw - h_[a]);
+            setColumnEntry(a, w,
+                           delta(a, w) + coeff * (hw - h_[a]));
     }
     double *row = table_.data() + static_cast<size_t>(w) * nloc_;
     for (int b = w + 1; b < n_; ++b) {
@@ -401,6 +524,9 @@ DeltaTable::correctPartnerRow(int w, int u, int v)
             sweep(lo, nloc_);
         }
     }
+    // Every entry of row w is final now (the moved rows' column
+    // writes came first).
+    recomputeRowMin(w);
 }
 
 namespace {
@@ -445,7 +571,19 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     // Below ~64 facility-locations the table costs more to maintain
     // than the rescan it replaces (measured crossover between 6x9
     // and 6x16); both paths produce bit-identical placements, so the
-    // choice is purely a matter of speed.
+    // choice is purely a matter of speed.  Likewise the table keeps
+    // row minima, and the scan skips rows on them, only from
+    // DeltaTable::kRowMinsFrom on.  Measured end to end on `paper`
+    // (every instance below that line; perfbench/run.py, 20 s runs,
+    // 10 pairs against a build without row minima, 4-core AVX-512
+    // host): minima and skip at every memoized size moved
+    // latency_ms_mid 3.33 -> 3.93 ms and throughput_per_s 256 -> 224,
+    // minima kept with the skip gated 3.37 -> 4.19 ms and 254 -> 204,
+    // each 0 of 10 pairs better; so the cost is the upkeep.  With
+    // the gate `paper` is within noise (3.28 -> 3.36 ms, 4 of 10
+    // pairs faster).  Every
+    // `device_scale` instance (209-575 filled locations) is far
+    // above the line.
     DeltaTable deltas(flow, dist);
     const bool memoize =
         deltas.memoizable() && static_cast<long>(n) * nloc >= 64;
@@ -470,6 +608,7 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     // Resolve the dispatch once per search: the scan pointer is hot
     // (called once per row per iteration).
     const auto scan = simd::kernels().scanBelow;
+    const double *rowMins = memoize ? deltas.rowMins() : nullptr;
 
     int stall = 0;
     for (int it = 0; it < opt.maxIters && stall < opt.stallLimit;
@@ -478,6 +617,15 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
         int ba = -1, bb = -1;
         bool found = false;
         for (int a = 0; a < n; ++a) {
+            if (found && rowMins) {
+                // Two-level scan: the same strict < over the exact row
+                // minima jumps to the next row that holds an entry
+                // below the best move; the rows it passes could not
+                // change the selection.
+                a = scan(rowMins, a, n, best_delta);
+                if (a >= n)
+                    break;
+            }
             const double *drow = memoize ? deltas.row(a) : nullptr;
             const int *trow = tabu.data() + a * nloc;
             int pa = perm[a];
@@ -555,25 +703,6 @@ tabuSearchQap(const linalg::FlatMatrix &flow,
               const TabuOptions &opt)
 {
     return tabuSearchQapMatrix(flow, topo.hopDistances(), rng, opt);
-}
-
-Placement
-bestOfTabu(const linalg::FlatMatrix &flow,
-           const device::Topology &topo, std::mt19937_64 &rng,
-           int trials, const TabuOptions &opt)
-{
-    const linalg::FlatMatrix &dist = topo.hopDistances();
-    Placement best;
-    double best_cost = 0.0;
-    for (int t = 0; t < trials; ++t) {
-        Placement p = tabuSearchQapMatrix(flow, dist, rng, opt);
-        double c = qapCostMatrix(flow, dist, p);
-        if (best.empty() || c < best_cost) {
-            best = p;
-            best_cost = c;
-        }
-    }
-    return best;
 }
 
 Placement

@@ -21,6 +21,13 @@
  * summation order of a fresh computation.  Either
  * way results are bit-identical to the naive rescanning kernel — the
  * golden sweep is the oracle.
+ *
+ * The scan is two-level from n * nloc = DeltaTable::kRowMinsFrom on
+ * (device scale; paper instances stay below): the table also keeps
+ * each row's exact minimum, and once a first admissible move is found
+ * the scan jumps over every row whose minimum is not below the best
+ * delta so far.  Such a row holds no strictly better entry, so the
+ * selected move is the one a full scan picks.
  */
 
 #ifndef TQAN_QAP_TABU_H
@@ -52,6 +59,14 @@ struct TabuOptions
  * exchange; only entries whose inputs changed (pairs touching the
  * moved facilities or their flow partners) are refreshed.
  *
+ * Row minima (tables of n * nloc >= kRowMinsFrom entries):
+ * rowMins()[a] is the exact minimum of row a's entries after reset()
+ * and after every update().  A rewritten row takes its minimum after
+ * its pass; a single column write into another row lowers the minimum
+ * with a compare, and a write that raises the entry holding it queues
+ * the row for one recomputation at the end of update().  Smaller
+ * tables keep no minima and rowMins() is null.
+ *
  * Bit-identity contract: a cached value always equals what
  * evaluate() returns bit-for-bit.  There are two paths.  When every
  * flow and distance entry is an integer, the distance diagonal is
@@ -70,12 +85,22 @@ struct TabuOptions
 class DeltaTable
 {
   public:
+    /** Smallest n * nloc that keeps row minima.  Their upkeep in
+     * update() costs more than the skip saves at paper scale (at most
+     * 50 x 54): kept at every size, the `paper` benchmark workload's
+     * median latency rose 18-24% (tabuSearchQapMatrix gives the
+     * runs).  Timed per search, keeping them pays from filled 10 x 10
+     * grids on. */
+    static constexpr long kRowMinsFrom = 8192;
+
     /** Both matrices must outlive the table.  flow is n x n, dist is
      * nloc x nloc with n <= nloc. */
     DeltaTable(const linalg::FlatMatrix &flow,
                const linalg::FlatMatrix &dist);
 
-    /** Rebuild every entry for a new permutation (O(n*nloc*deg)). */
+    /** Rebuild every entry for a new permutation (O(n*nloc*deg);
+     * on the integral path row by row from the per-facility cost
+     * vector, as update() rebuilds a moved facility's row). */
     void reset(const std::vector<int> &perm);
 
     /** Cached cost change of exchanging facilities a < b. */
@@ -88,6 +113,15 @@ class DeltaTable
     const double *row(int a) const
     {
         return table_.data() + static_cast<size_t>(a) * nloc_;
+    }
+
+    /** The n row minima, contiguous: entry a is the minimum of
+     * row(a)[b] over b > a (NaN entries ignored; +inf for an empty
+     * row).  Exact, not a bound, after reset() and every update().
+     * Null below kRowMinsFrom. */
+    const double *rowMins() const
+    {
+        return keepMins_ ? rowMin_.data() : nullptr;
     }
 
     /** Fresh evaluation against `perm`, bypassing the cache. */
@@ -114,6 +148,7 @@ class DeltaTable
     const linalg::FlatMatrix *dist_;
     int n_ = 0;
     int nloc_ = 0;
+    bool keepMins_ = false;  ///< n * nloc >= kRowMinsFrom
     bool exact_ = false;  ///< integral data: O(1) updates are exact
     bool flowSymmetric_ = false;
     /** CSR view of the nonzero flow: facility i's partners and flows
@@ -127,10 +162,25 @@ class DeltaTable
     std::vector<double> h_;      ///< scratch: distance differences
     std::vector<double> s_;      ///< scratch: moved-row dot products
     std::vector<double> t_;      ///< scratch: d[perm s][perm j], j < n
+    std::vector<double> fs_;     ///< scratch: moved facility's flow row
     /** Exact path: cm_[x] = sum_{j in N(x)} f_xj d[perm x][perm j]. */
     std::vector<double> cm_;
+    std::vector<double> rowMin_;  ///< see rowMins()
+    /** Rows whose minimum entry grew under a column write; update()
+     * recomputes each once at its end. */
+    std::vector<int> dirty_;
+    std::vector<char> isDirty_;
 
     double facilityCost(const std::vector<int> &perm, int x) const;
+    void recomputeRowMin(int a);
+    void setColumnEntry(int r, int b, double value);
+    void columnWriteAtMin(int r, double old, double value);
+    void updateIntegral(const std::vector<int> &perm, int u, int v);
+    void loadMovedFacility(const std::vector<int> &perm, int s);
+    void unloadMovedFacility(int s);
+    double partnerSide(int m) const;
+    double movedDelta(const std::vector<int> &perm, int s, int m) const;
+    void rebuildMovedRow(const std::vector<int> &perm, int s, int keep);
     void refreshMovedFacility(const std::vector<int> &perm, int s,
                               int u, int v);
     void correctPartnerRow(int w, int u, int v);
@@ -161,12 +211,6 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
                     const linalg::FlatMatrix &dist,
                     std::mt19937_64 &rng,
                     const TabuOptions &opt = TabuOptions());
-
-/** Run tabuSearchQap `trials` times, keep the lowest-cost result. */
-Placement bestOfTabu(const linalg::FlatMatrix &flow,
-                     const device::Topology &topo, std::mt19937_64 &rng,
-                     int trials = 5,
-                     const TabuOptions &opt = TabuOptions());
 
 /**
  * Best-of-trials against an arbitrary location-distance matrix (the

@@ -34,8 +34,11 @@
  *    ISA but may differ from scalar by a documented bound of a few
  *    ulps per term (tests allow 1e-12 absolute on <= 2^20-term
  *    sums, far above the observed error).
- *  - scanBelow on integral-valued doubles (the tabu delta table) is
- *    an exact predicate and BIT-IDENTICAL in selection order.
+ *  - scanBelow (the tabu delta table) is an exact predicate, a
+ *    strict < on stored doubles, and BIT-IDENTICAL in selection
+ *    order.  The tabu kernel runs it over the table's row minima
+ *    too (the first level of its two-level scan), with the same
+ *    predicate, so skipping a row is exact as well.
  *
  * Override: set TQAN_SIMD=scalar|avx2|avx512|neon before the first
  * kernel call to pin a path (unknown or unsupported values warn on

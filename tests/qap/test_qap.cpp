@@ -62,8 +62,7 @@ TEST(Tabu, FindsOptimalChainEmbedding)
         h.addPair(i, i + 1, 0, 0, 1.0);
     auto f = flowMatrix(h);
     device::Topology topo = device::line(6);
-    std::mt19937_64 rng(21);
-    Placement p = bestOfTabu(f, topo, rng, 5);
+    Placement p = bestOfTabu(f, topo, 21, 5);
     EXPECT_TRUE(placementIsValid(p, 6));
     EXPECT_DOUBLE_EQ(qapCost(f, topo, p), 5.0);
 }

@@ -7,11 +7,13 @@
  *     costOf-style recomputation after every applied move (both the
  *     integral O(1)-update path and the re-evaluation path, up to
  *     256 locations, with the data bound that selects between them
- *     checked on both sides);
+ *     checked on both sides), and from DeltaTable::kRowMinsFrom
+ *     entries on every row minimum equals a brute-force minimum of
+ *     its row;
  *  2. the memoized kernel produces placements bit-identical to the
  *     pre-memoization rescanning kernel (reproduced verbatim below)
  *     for the same seeds — the contract that keeps the golden sweep
- *     frozen;
+ *     frozen — on both sides of the two-level scan's size threshold;
  *  3. tiny devices (2-4 qubits) and adversarial tenure multipliers
  *     cannot produce an inverted tenure distribution (UB before the
  *     clamp).
@@ -20,8 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 
 #include "device/devices.h"
 #include "device/noise_map.h"
@@ -163,6 +167,27 @@ referenceTabu(const linalg::FlatMatrix &flow,
     return Placement(best_perm.begin(), best_perm.begin() + n);
 }
 
+/** Every row minimum must equal a brute-force minimum over the row's
+ * scanned entries b > a, dummy tail included (+inf for an empty
+ * row): the two-level scan skips a row on it.  Tables below
+ * kRowMinsFrom keep none. */
+void
+expectExactRowMins(const DeltaTable &dt, const std::string &when)
+{
+    long size = static_cast<long>(dt.facilities()) * dt.locations();
+    ASSERT_EQ(dt.rowMins() != nullptr, size >= DeltaTable::kRowMinsFrom)
+        << dt.facilities() << " x " << dt.locations();
+    if (!dt.rowMins())
+        return;
+    for (int a = 0; a < dt.facilities(); ++a) {
+        double mn = std::numeric_limits<double>::infinity();
+        for (int b = a + 1; b < dt.locations(); ++b)
+            mn = std::min(mn, dt.delta(a, b));
+        ASSERT_EQ(dt.rowMins()[a], mn)
+            << "row " << a << " after " << when;
+    }
+}
+
 /** Drive a DeltaTable through `moves` random exchanges, checking it
  * against brute force and fresh evaluation after every one. */
 void
@@ -178,6 +203,7 @@ checkDeltaTable(const linalg::FlatMatrix &flow,
     DeltaTable dt(flow, dist);
     EXPECT_EQ(dt.exactArithmetic(), expectExact);
     dt.reset(perm);
+    expectExactRowMins(dt, "reset");
 
     std::uniform_int_distribution<int> pickA(0, n - 1);
     std::uniform_int_distribution<int> pickB(0, nloc - 1);
@@ -205,6 +231,7 @@ checkDeltaTable(const linalg::FlatMatrix &flow,
                 ASSERT_EQ(dt.delta(a, b), dt.evaluate(perm, a, b))
                     << "entry (" << a << "," << b << ") after move "
                     << step << " (" << u << "," << v << ")";
+        expectExactRowMins(dt, "move " + std::to_string(step));
     }
 }
 
@@ -233,6 +260,14 @@ TEST(DeltaTable, MatchesBruteForceOnNoiseAwareDistances)
     std::mt19937_64 rng(78);
     auto flow = randomFlow(7, rng);
     checkDeltaTable(flow, dist, rng, 40, /*expectExact=*/false);
+
+    // 90 facilities on 100 locations (9000 entries, ten dummies)
+    // keep row minima.
+    device::Topology big = device::grid(10, 10);
+    auto bigDist = device::NoiseMap::synthetic(big, nrng)
+                       .noiseAwareDistances(1.0);
+    auto chain = flowMatrix(ham::nnnHeisenberg(90, rng));
+    checkDeltaTable(chain, bigDist, rng, 40, /*expectExact=*/false);
 }
 
 TEST(DeltaTable, RejectsMalformedShapes)
@@ -374,6 +409,62 @@ TEST(TabuBitIdentity, MatchesReferenceKernelOnSycamore54)
               referenceTabu(flow, dist, r2, opt));
 }
 
+TEST(TabuBitIdentity, RowSkipMatchesReferenceAtDeviceScale)
+{
+    // The two-level scan skips every row whose exact minimum cannot
+    // beat the best move so far.  It is active from n * nloc = 8192:
+    // grid 9x9 with 80 facilities (6480) runs without it, grid 10x10
+    // with 90 (9000, ten dummies) just above; heavyhex:9 and 23x23
+    // are device_scale instances.  maxIters bounds the reference
+    // kernel's full rescans.
+    struct Case
+    {
+        const char *device;
+        int n;
+        bool reg3;
+    };
+    const Case cases[] = {
+        {"grid:9x9", 80, false},    {"grid:10x10", 90, true},
+        {"heavyhex:9", 208, false}, {"heavyhex:9", 150, true},
+        {"grid:23x23", 528, false},
+    };
+    std::mt19937_64 gen(2300);
+    for (const Case &c : cases) {
+        device::Topology topo = device::deviceByName(c.device);
+        linalg::FlatMatrix flow =
+            c.reg3 ? flowMatrix(ham::qaoaLayerHamiltonian(
+                         graph::randomRegularGraph(c.n, 3, gen),
+                         ham::qaoaFixedAngles(1)[0]))
+                   : flowMatrix(ham::nnnHeisenberg(c.n, gen));
+        const auto &dist = topo.hopDistances();
+        TabuOptions opt;
+        opt.maxIters = 60;
+        std::uint64_t seed = gen();
+        std::mt19937_64 r1(seed), r2(seed);
+        EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r1, opt),
+                  referenceTabu(flow, dist, r2, opt))
+            << c.device << " n=" << c.n << " seed " << seed;
+    }
+}
+
+TEST(TabuBitIdentity, RowSkipMatchesReferenceOnNoiseAwareDistances)
+{
+    // Minima of stored doubles are exact whatever the values, so the
+    // skip keeps the re-evaluation path bit-identical too.
+    device::Topology topo = device::deviceByName("heavyhex:9");
+    std::mt19937_64 gen(2301);
+    std::mt19937_64 nrng(gen());
+    auto nm = device::NoiseMap::synthetic(topo, nrng);
+    auto dist = nm.noiseAwareDistances(1.5);
+    auto flow = flowMatrix(ham::nnnHeisenberg(180, gen));
+    TabuOptions opt;
+    opt.maxIters = 40;
+    std::uint64_t seed = gen();
+    std::mt19937_64 r1(seed), r2(seed);
+    EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r1, opt),
+              referenceTabu(flow, dist, r2, opt));
+}
+
 TEST(TabuBitIdentity, AsymmetricFlowFallsBackToRescan)
 {
     // The public API accepts arbitrary matrices, but memoized
@@ -447,6 +538,31 @@ TEST(TabuBitIdentitySimd, NoiseAwareDistancesMatchAcrossIsas)
         simd::ScopedForceIsa force(isa);
         std::mt19937_64 r(seed);
         EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r), scalarP)
+            << simd::isaName(isa);
+    }
+}
+
+TEST(TabuBitIdentitySimd, RowSkipMatchesForcedScalarAtDeviceScale)
+{
+    // heavyhex:9 filled is above the row-skip threshold: scanBelow
+    // runs over the row minima as well as the rows, on every ISA.
+    device::Topology topo = device::deviceByName("heavyhex:9");
+    const auto &dist = topo.hopDistances();
+    std::mt19937_64 gen(31339);
+    auto flow = flowMatrix(ham::nnnHeisenberg(208, gen));
+    TabuOptions opt;
+    opt.maxIters = 400;
+    std::uint64_t seed = gen();
+
+    Placement scalarP = [&]() {
+        simd::ScopedForceIsa force(simd::Isa::Scalar);
+        std::mt19937_64 r(seed);
+        return tabuSearchQapMatrix(flow, dist, r, opt);
+    }();
+    for (simd::Isa isa : simd::availableIsas()) {
+        simd::ScopedForceIsa force(isa);
+        std::mt19937_64 r(seed);
+        EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r, opt), scalarP)
             << simd::isaName(isa);
     }
 }
