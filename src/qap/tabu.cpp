@@ -38,17 +38,24 @@ namespace qap {
  *
  *    (perm' = post-exchange permutation; valid for {a,b} disjoint
  *    from {u,v}; |g_a - g_b| <= 2F and |h_b - h_a| <= 4D give the
- *    8 F D bound).  Rows of a moved facility s are rebuilt from the
+ *    8 F D bound).  A moved facility s's deltas come from the
  *    per-facility costs cm_[x] = sum_{j in N(x)} f_xj d[perm x][perm j]
- *    and one gathered row t_[j] = d[perm s][perm j]: for real m
+ *    and one gathered row t[j] = d[perm s][perm j]: for real m
  *
- *        delta(s,m) = s_[perm m] - s_[perm s]
- *                   + sum_{j in N(m)} f_mj t_[j] - cm_[m]
- *                   + 2 f_sm d[perm s][perm m]     (m in N(s) only)
+ *        delta(s,m) = s[perm m] - s[perm s]
+ *                   + (sum_{j in N(m)} f_mj t[j] - cm_[m])
+ *                   + 2 f_sm t[m]                  (m in N(s) only)
  *
- *    which needs d[x][x] = 0 (also checked), so each entry costs
- *    O(deg(m)) reads of the cached t_ instead of an evaluate() that
- *    misses cache on a fresh distance row per m.
+ *    with s[x] = sum_{k in N(s)} f_sk d[perm k][x], which needs
+ *    d[x][x] = 0 (also checked).  A moved dummy has s = 0, so its
+ *    column holds the bracket alone, and a real s's dummy tail is
+ *    s[perm b] - s[perm s].  update() computes the bracket for both
+ *    moved facilities in one pass over the sparse flow (each m's
+ *    partners read once, against both t rows), so each of the 2n
+ *    deltas costs O(1) once that pass is done.  |s[x]|, |cm_[m]| and
+ *    the partner sum are each <= F D and |2 f_sm t[m]| <= 2 F D, so
+ *    every partial sum of delta(s,m) stays <= 6 F D, inside the
+ *    8 F D bound.
  *
  *  - Non-integral data (noise-aware distances): the correction could
  *    round differently from a fresh evaluation and flip near-tie
@@ -59,21 +66,24 @@ namespace qap {
  * nloc) entries — O(nloc * deg) for the bounded-degree interaction
  * graphs of 2-local Hamiltonians — instead of the full
  * O(n * nloc * deg) rescan of the naive kernel.  On the integral path
- * each refresh is O(1) apart from one O(nnz(flow)) sparse pass over
- * t_ per moved facility; on the re-evaluation path each is an
+ * each refresh is O(1) apart from one O(nnz(flow)) sparse pass for
+ * both moved facilities; on the re-evaluation path each is an
  * O(deg) evaluate() reading two distance rows.  reset() builds the
- * integral table the same way, one moved-facility row per facility.
+ * integral table the same way, two facilities' rows per sparse pass.
  *
- * Row minima.  An update rewrites the rows of u, v and their
- * partners whole, in touched_ order (u and v first), and writes
- * single entries into the columns of those facilities in every other
- * row.  A pair of two touched facilities is refreshed in the row of
- * the smaller one, so no column write lands in a touched row after
- * that row's pass: its minimum, taken right after the pass, is final.
- * An untouched row's minimum is lowered by a smaller written value;
- * when a write raises an entry equal to the minimum, the row is
- * queued and recomputed once at the end of update().  Minima ignore
- * NaN entries, which never pass the scan's strict < either.
+ * Row order.  The stale entries are the rows of the touched
+ * facilities (u, v and their flow partners) and the touched columns
+ * of every other row.  A pair of two touched facilities is refreshed
+ * in the row of the smaller one, so each touched real row is written
+ * whole by its own pass — a partner row's pass also stores its
+ * entries in the moved columns — and takes its minimum right after
+ * it.  Every untouched row then takes all of its column writes in one
+ * visit (writeUntouchedRows), in ascending row order; its minimum is
+ * settled once per row: lowered to the smallest written value when
+ * that reaches it, otherwise recomputed if a write overwrote an entry
+ * equal to it.  No row is written after its minimum is taken.
+ * Minima ignore NaN entries, which never pass the scan's strict <
+ * either.
  */
 
 namespace {
@@ -133,6 +143,22 @@ isSymmetric(const linalg::FlatMatrix &m)
 
 } // namespace
 
+/** The column writes of one untouched row, collected so that its
+ * minimum is settled once after all of them (settleRowMin). */
+struct DeltaTable::ColumnWrites
+{
+    double min;          ///< the row's minimum before the writes
+    double lo = kInf;    ///< smallest written value
+    bool hitMin = false; ///< an overwritten entry equalled `min`
+
+    void put(double &entry, double value)
+    {
+        hitMin |= entry == min;
+        lo = lower(lo, value);
+        entry = value;
+    }
+};
+
 DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
                        const linalg::FlatMatrix &dist)
     : dist_(&dist), n_(flow.rows()), nloc_(dist.rows()),
@@ -180,12 +206,16 @@ DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
     inSet_.assign(nloc_, 0);
     g_.assign(nloc_, 0.0);
     h_.assign(nloc_, 0.0);
-    s_.assign(nloc_, 0.0);
-    t_.assign(n_, 0.0);
-    fs_.assign(n_, 0.0);
+    for (int k = 0; k < 2; ++k) {
+        s_[k].assign(nloc_, 0.0);
+        t_[k].assign(n_, 0.0);
+        md_[k].assign(n_, 0.0);
+    }
+    pc_.reserve(nloc_);
+    pg_.reserve(nloc_);
+    ph_.reserve(nloc_);
     cm_.assign(n_, 0.0);
     rowMin_.assign(n_, kInf);
-    isDirty_.assign(n_, 0);
 }
 
 double
@@ -250,30 +280,32 @@ DeltaTable::recomputeRowMin(int a)
 }
 
 void
-DeltaTable::columnWriteAtMin(int r, double old, double value)
+DeltaTable::settleRowMin(int a, const ColumnWrites &w)
 {
-    double &m = rowMin_[r];
-    if (value < m) {
-        m = value;
-    } else if (old == m && value != old && !isDirty_[r]) {
-        isDirty_[r] = 1;
-        dirty_.push_back(r);
-    }
+    // The unwritten entries are all >= the old minimum, so a written
+    // value at or below it is the new minimum.  Otherwise the minimum
+    // stands unless a write overwrote an entry holding it.
+    if (!keepMins_)
+        return;
+    if (w.lo <= rowMin_[a])
+        rowMin_[a] = w.lo;
+    else if (w.hitMin)
+        recomputeRowMin(a);
 }
 
-inline void
-DeltaTable::setColumnEntry(int r, int b, double value)
+template <class Write>
+void
+DeltaTable::writeUntouchedRows(Write write)
 {
-    // A touched row recomputes its minimum after its own pass, which
-    // follows every column write into it.  In any other row a write
-    // can only matter when the new value reaches the minimum (it may
-    // lower it) or the old one held it (it may raise it, and the row
-    // is then recomputed at the end of update()).
-    double &e = table_[static_cast<size_t>(r) * nloc_ + b];
-    double m = rowMin_[r];
-    if (keepMins_ && !inSet_[r] && (value <= m || e == m))
-        columnWriteAtMin(r, e, value);
-    e = value;
+    // write(a, row, writes) stores row a's new entries in the touched
+    // columns above a through writes.put().
+    for (int a = 0; a < n_; ++a) {
+        if (inSet_[a])
+            continue;
+        ColumnWrites w{rowMin_[a]};
+        write(a, table_.data() + static_cast<size_t>(a) * nloc_, w);
+        settleRowMin(a, w);
+    }
 }
 
 void
@@ -282,10 +314,16 @@ DeltaTable::reset(const std::vector<int> &perm)
     if (exact_) {
         for (int x = 0; x < n_; ++x)
             cm_[x] = facilityCost(perm, x);
-        for (int s = 0; s < n_; ++s) {
-            loadMovedFacility(perm, s);
-            rebuildMovedRow(perm, s, -1);
-            unloadMovedFacility(s);
+        // Rows s and s + 1 share one sparse pass (from s + 1 on, the
+        // real entries both rows hold).
+        for (int s = 0; s < n_; s += 2) {
+            int b = std::min(s + 1, n_ - 1);
+            loadMovedFacility(perm, 0, s);
+            loadMovedFacility(perm, 1, b);
+            movedDeltas(perm, s, b, s + 1);
+            writeMovedRow(perm, 0, s);
+            if (b != s)
+                writeMovedRow(perm, 1, b);
         }
         return;
     }
@@ -304,7 +342,7 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
     // b's flow partners j; the exchange changed slots u and v only.
     // So the stale entries are exactly those touching u, v, or a
     // flow partner of u or v (flow is symmetric: u in nz[a] iff a in
-    // nz[u]).
+    // nz[u]).  Every pass treats u and v alike, so either order works.
     touched_.clear();
     auto mark = [this](int s) {
         if (!inSet_[s]) {
@@ -320,35 +358,34 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
     if (v < n_)
         for (int k = nzOff_[v]; k < nzOff_[v + 1]; ++k)
             mark(nzCol_[k]);
+    // Ascending: the untouched-row passes find the touched columns
+    // above a row as a suffix.
+    std::sort(touched_.begin(), touched_.end());
 
     if (exact_) {
         updateIntegral(perm, u, v);
     } else {
         // Non-integral data: re-evaluate every stale entry in
         // evaluate() order so cached bits match a fresh computation.
-        // A pair with both ends touched refreshes once, in the row of
-        // its smaller index, so every touched real row is rewritten
-        // whole; the other rows take single column writes.
         for (int s : touched_) {
-            for (int m = 0; m < std::min(s, n_); ++m)
-                if (!inSet_[m])
-                    setColumnEntry(m, s, evaluate(perm, m, s));
             if (s >= n_)
-                continue;  // dummy-dummy pairs are never scanned
+                break;  // dummy-dummy pairs are never scanned
             double *row = table_.data() + static_cast<size_t>(s) * nloc_;
             for (int b = s + 1; b < nloc_; ++b)
                 row[b] = evaluate(perm, s, b);
             recomputeRowMin(s);
         }
+        size_t first = 0;  // touched_[first..] are the columns > a
+        writeUntouchedRows([&](int a, double *row, ColumnWrites &w) {
+            while (first < touched_.size() && touched_[first] < a)
+                ++first;
+            for (size_t i = first; i < touched_.size(); ++i)
+                w.put(row[touched_[i]], evaluate(perm, a, touched_[i]));
+        });
     }
 
     for (int s : touched_)
         inSet_[s] = 0;
-    for (int r : dirty_) {
-        recomputeRowMin(r);
-        isDirty_[r] = 0;
-    }
-    dirty_.clear();
 }
 
 void
@@ -358,8 +395,8 @@ DeltaTable::updateIntegral(const std::vector<int> &perm, int u, int v)
     // distance-difference column of the O(1) correction; both are
     // exact integers, so every path below produces the same bits
     // evaluate() would.  cm_[x] reads perm[x] and x's partners, so it
-    // went stale for exactly the touched real facilities; the
-    // moved-row refreshes read it.
+    // went stale for exactly the touched real facilities; the moved
+    // deltas read it.
     for (int s : touched_)
         if (s < n_)
             cm_[s] = facilityCost(perm, s);
@@ -375,14 +412,52 @@ DeltaTable::updateIntegral(const std::vector<int> &perm, int u, int v)
         for (int k = nzOff_[v]; k < nzOff_[v + 1]; ++k)
             g_[nzCol_[k]] -= nzVal_[k];
 
-    // u and v come first in touched_, so every column write into a
-    // partner row lands before that row's own pass.
-    for (int s : touched_) {
-        if (s == u || s == v)
-            refreshMovedFacility(perm, s, u, v);
-        else
-            correctPartnerRow(s, u, v);
+    // md_[0] and md_[1] hold delta(u, m) and delta(v, m) for every
+    // real m; the pair (u, v) is written with the smaller one's row.
+    loadMovedFacility(perm, 0, u);
+    loadMovedFacility(perm, 1, v);
+    movedDeltas(perm, u, v, 0);
+    if (u < n_)
+        writeMovedRow(perm, 0, u);
+    if (v < n_)
+        writeMovedRow(perm, 1, v);
+
+    pc_.clear();
+    pg_.clear();
+    ph_.clear();
+    for (int w : touched_) {
+        if (w >= n_)
+            break;
+        if (w == u || w == v)
+            continue;
+        correctPartnerRow(w, u, v);
+        if (g_[w] != 0.0) {
+            pc_.push_back(w);
+            pg_.push_back(g_[w]);
+            ph_.push_back(h_[w]);
+        }
     }
+
+    // An untouched row a has g_a = 0, so its entry in partner column
+    // w moves by -g_w (h_w - h_a) (zero when g_w = 0: those columns
+    // are not in pc_); its moved-column entries are the moved deltas.
+    const double *mdu = md_[0].data();
+    const double *mdv = md_[1].data();
+    const int np = static_cast<int>(pc_.size());
+    int first = 0;  // pc_[first..] are the partner columns > a
+    writeUntouchedRows([&](int a, double *row, ColumnWrites &w) {
+        while (first < np && pc_[first] < a)
+            ++first;
+        double ha = h_[a];
+        for (int i = first; i < np; ++i) {
+            double &e = row[pc_[i]];
+            w.put(e, e + pg_[i] * (ha - ph_[i]));
+        }
+        if (u > a)
+            w.put(row[u], mdu[a]);
+        if (v > a)
+            w.put(row[v], mdv[a]);
+    });
 
     if (u < n_)
         for (int k = nzOff_[u]; k < nzOff_[u + 1]; ++k)
@@ -393,139 +468,105 @@ DeltaTable::updateIntegral(const std::vector<int> &perm, int u, int v)
 }
 
 void
-DeltaTable::loadMovedFacility(const std::vector<int> &perm, int s)
+DeltaTable::loadMovedFacility(const std::vector<int> &perm, int slot,
+                              int s)
 {
-    // t_ is the one distance row every entry of s reads; for a real
-    // s, s_[x] = sum_k f_sk * d[perm[k]][x] over s's partners k is
-    // the cost of s's flow were s at location x, and fs_ scatters
-    // s's flow row.
+    // t is the one distance row every delta of s reads; s_[x] is the
+    // cost of s's flow were s at location x (zero for a dummy).
     const double *dps = (*dist_)[perm[s]];
+    double *t = t_[slot].data();
     for (int j = 0; j < n_; ++j)
-        t_[j] = dps[perm[j]];
+        t[j] = dps[perm[j]];
+    std::vector<double> &sx = s_[slot];
+    std::fill(sx.begin(), sx.end(), 0.0);
     if (s >= n_)
         return;
-    std::fill(s_.begin(), s_.end(), 0.0);
     for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
         const double *drow = (*dist_)[perm[nzCol_[k]]];
         double f = nzVal_[k];
-        fs_[nzCol_[k]] = f;
         for (int x = 0; x < nloc_; ++x)
-            s_[x] += f * drow[x];
+            sx[x] += f * drow[x];
     }
 }
 
 void
-DeltaTable::unloadMovedFacility(int s)
+DeltaTable::movedDeltas(const std::vector<int> &perm, int a, int b,
+                        int from)
 {
-    if (s < n_)
-        for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k)
-            fs_[nzCol_[k]] = 0.0;
-}
-
-inline double
-DeltaTable::partnerSide(int m) const
-{
-    // m's half of delta(s, m) for the loaded facility s.
-    double c = 0.0;
-    for (int k = nzOff_[m]; k < nzOff_[m + 1]; ++k)
-        c += nzVal_[k] * t_[nzCol_[k]];
-    return c - cm_[m];
-}
-
-inline double
-DeltaTable::movedDelta(const std::vector<int> &perm, int s, int m) const
-{
-    // delta(s, m) for the loaded real facility s and a real m != s
-    // (block comment above).
-    double d = s_[perm[m]] - s_[perm[s]] + partnerSide(m);
-    if (fs_[m] != 0.0)
-        d += 2.0 * fs_[m] * t_[m];
-    return d;
+    // md_[0][m] = delta(a, m) and md_[1][m] = delta(b, m) for the
+    // loaded facilities a (slot 0) and b (slot 1) and every real
+    // m >= from (block comment above; md_[0][a] and md_[1][b] are
+    // not deltas).  One pass over the sparse flow serves both: each
+    // of m's partners is read once.
+    const double *sa = s_[0].data(), *sb = s_[1].data();
+    const double *ta = t_[0].data(), *tb = t_[1].data();
+    double *mda = md_[0].data(), *mdb = md_[1].data();
+    double homeA = sa[perm[a]], homeB = sb[perm[b]];
+    for (int m = from; m < n_; ++m) {
+        double ca = 0.0, cb = 0.0;
+        for (int k = nzOff_[m]; k < nzOff_[m + 1]; ++k) {
+            double f = nzVal_[k];
+            int j = nzCol_[k];
+            ca += f * ta[j];
+            cb += f * tb[j];
+        }
+        int pm = perm[m];
+        mda[m] = sa[pm] - homeA + (ca - cm_[m]);
+        mdb[m] = sb[pm] - homeB + (cb - cm_[m]);
+    }
+    // The exchanged pair's own flow: 2 f_sm d[perm s][perm m].
+    for (int slot = 0; slot < 2; ++slot) {
+        int s = slot == 0 ? a : b;
+        if (s >= n_)
+            continue;
+        double *md = md_[slot].data();
+        const double *t = t_[slot].data();
+        for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
+            int m = nzCol_[k];
+            if (m >= from)
+                md[m] += 2.0 * nzVal_[k] * t[m];
+        }
+    }
 }
 
 void
-DeltaTable::rebuildMovedRow(const std::vector<int> &perm, int s,
-                            int keep)
+DeltaTable::writeMovedRow(const std::vector<int> &perm, int slot, int s)
 {
-    // Row s of the loaded real facility, every entry but `keep` (the
-    // pair (u, v), which u's pass owns), then its minimum.
+    // Row s of the loaded real facility from its moved deltas, then
+    // the dummy tail (a flowless partner is the pure relocation),
+    // then its minimum.
     double *row = table_.data() + static_cast<size_t>(s) * nloc_;
-    double sHome = s_[perm[s]];
-    for (int m = s + 1; m < n_; ++m)
-        if (m != keep)
-            row[m] = movedDelta(perm, s, m);
-    // Dummy tail: a flowless partner is the pure relocation.
+    const double *md = md_[slot].data();
+    std::copy(md + s + 1, md + n_, row + s + 1);
+    const double *sx = s_[slot].data();
+    double home = sx[perm[s]];
     for (int b = std::max(n_, s + 1); b < nloc_; ++b)
-        if (b != keep)
-            row[b] = s_[perm[b]] - sHome;
+        row[b] = sx[perm[b]] - home;
     recomputeRowMin(s);
-}
-
-void
-DeltaTable::refreshMovedFacility(const std::vector<int> &perm, int s,
-                                 int u, int v)
-{
-    // Owns every pair that includes the moved facility s; the pair
-    // (u, v) itself is refreshed on u's turn only.
-    loadMovedFacility(perm, s);
-    int keep = (s == v) ? u : -1;
-    if (s >= n_) {
-        // A dummy was moved: only the n real rows can pair with it.
-        for (int a = 0; a < n_; ++a)
-            if (a != keep)
-                setColumnEntry(a, s, partnerSide(a));
-        return;
-    }
-    for (int m = 0; m < s; ++m)
-        if (m != keep)
-            setColumnEntry(m, s, movedDelta(perm, s, m));
-    rebuildMovedRow(perm, s, keep);
-    unloadMovedFacility(s);
 }
 
 void
 DeltaTable::correctPartnerRow(int w, int u, int v)
 {
-    // Applies delta += (g_a - g_b) * (h_b - h_a) to w's pairs.
-    // Pairs including u or v belong to refreshMovedFacility; pairs
-    // of two partners are corrected once, on the smaller index's
-    // turn (the formula covers both ends in one application).
-    double gw = g_[w];
-    double hw = h_[w];
-    for (int a = 0; a < w; ++a) {
-        if (a == u || a == v || inSet_[a])
-            continue;
-        double coeff = g_[a] - gw;
-        if (coeff != 0.0)
-            setColumnEntry(a, w,
-                           delta(a, w) + coeff * (hw - h_[a]));
-    }
+    // Row w of a flow partner, whole: delta += (g_w - g_b)(h_b - h_w)
+    // for every b > w, then the entries of u and v, which are moved
+    // deltas, overwrite what the sweep left there.  Pairs of two
+    // partners are corrected here, on the smaller index's row (the
+    // formula covers both ends in one application).  Only partners
+    // can carry g_b != 0; a zero coefficient adds +-0, which leaves an
+    // entry's bits alone (no entry is -0), so the sweep needs no
+    // branch.  The flowless tail (b >= n) only moves when g_w != 0.
     double *row = table_.data() + static_cast<size_t>(w) * nloc_;
-    for (int b = w + 1; b < n_; ++b) {
-        if (b == u || b == v)
-            continue;
-        double coeff = gw - g_[b];
-        if (coeff != 0.0)
-            row[b] += coeff * (h_[b] - hw);
-    }
-    // Dummy tail: flowless locations have g = 0, and the only
-    // touched index >= n can be a moved dummy v — excluded, so the
-    // whole span is one branch-free fused multiply-add sweep.
-    if (gw != 0.0) {
-        auto sweep = [&](int lo, int hi) {
-            for (int b = lo; b < hi; ++b)
-                row[b] += gw * (h_[b] - hw);
-        };
-        int lo = std::max(n_, w + 1);
-        if (v >= lo) {
-            sweep(lo, v);
-            sweep(v + 1, nloc_);
-        } else {
-            sweep(lo, nloc_);
-        }
-    }
-    // Every entry of row w is final now (the moved rows' column
-    // writes came first).
+    const double *g = g_.data();
+    const double *h = h_.data();
+    const double gw = g[w], hw = h[w];
+    const int end = gw != 0.0 ? nloc_ : n_;
+    for (int b = w + 1; b < end; ++b)
+        row[b] += (gw - g[b]) * (h[b] - hw);
+    if (u > w)
+        row[u] = md_[0][w];
+    if (v > w)
+        row[v] = md_[1][w];
     recomputeRowMin(w);
 }
 

@@ -61,11 +61,13 @@ struct TabuOptions
  *
  * Row minima (tables of n * nloc >= kRowMinsFrom entries):
  * rowMins()[a] is the exact minimum of row a's entries after reset()
- * and after every update().  A rewritten row takes its minimum after
- * its pass; a single column write into another row lowers the minimum
- * with a compare, and a write that raises the entry holding it queues
- * the row for one recomputation at the end of update().  Smaller
- * tables keep no minima and rowMins() is null.
+ * and after every update().  update() writes every row it changes
+ * in one pass: a moved facility's or flow partner's row is rewritten
+ * whole and takes its minimum after the pass; any other row takes
+ * all of its single column writes together and then settles its
+ * minimum once (lowered to the smallest written value, or recomputed
+ * when a write overwrote the entry that held it).  Smaller tables
+ * keep no minima and rowMins() is null.
  *
  * Bit-identity contract: a cached value always equals what
  * evaluate() returns bit-for-bit.  There are two paths.  When every
@@ -73,12 +75,13 @@ struct TabuOptions
  * zero and the flow/distance magnitudes keep every intermediate below
  * 2^53 (the hop-distance QAP — the paper's case), every delta is an
  * exactly-representable integer.  Then flow-partner rows take
- * Taillard's O(1) algebraic correction, and moved-facility rows are
- * rebuilt from a per-facility cost vector and one gathered distance
- * row (O(1) per entry plus one sparse flow pass); both are *exact*,
- * hence bit-equal to re-evaluation.  Otherwise (noise-aware
- * placement) every stale entry is re-evaluated in evaluate()'s
- * summation order, so the guarantee holds there too.
+ * Taillard's O(1) algebraic correction, and both moved facilities'
+ * deltas against every real facility come from a per-facility cost
+ * vector and one fused sparse flow pass over their two gathered
+ * distance rows (O(1) per entry); both are *exact*, hence bit-equal
+ * to re-evaluation.  Otherwise (noise-aware placement) every stale
+ * entry is re-evaluated in evaluate()'s summation order, so the
+ * guarantee holds there too.
  *
  * Public for the kernel's property tests; not a stable API.
  */
@@ -128,7 +131,8 @@ class DeltaTable
     double evaluate(const std::vector<int> &perm, int a, int b) const;
 
     /** Refresh the entries invalidated by an exchange of facilities
-     * u and v; `perm` is the permutation *after* the exchange. */
+     * u != v, given in either order (either or both may be dummies);
+     * `perm` is the permutation *after* the exchange. */
     void update(const std::vector<int> &perm, int u, int v);
 
     int facilities() const { return n_; }
@@ -160,29 +164,31 @@ class DeltaTable
     std::vector<char> inSet_;    ///< scratch membership flags
     std::vector<double> g_;      ///< scratch: flow-difference column
     std::vector<double> h_;      ///< scratch: distance differences
-    std::vector<double> s_;      ///< scratch: moved-row dot products
-    std::vector<double> t_;      ///< scratch: d[perm s][perm j], j < n
-    std::vector<double> fs_;     ///< scratch: moved facility's flow row
+    /** Scratch, one slot per moved facility s (integral path):
+     * s_[x] = cost of s's flow were s at location x (all zero for a
+     * dummy), t_[j] = d[perm s][perm j] for real j, and md_[m] =
+     * delta(s, m) for real m. */
+    std::vector<double> s_[2], t_[2], md_[2];
+    /** Scratch: flow partners with g != 0 (ascending) and their g, h
+     * -- the columns a move changes in the untouched rows. */
+    std::vector<int> pc_;
+    std::vector<double> pg_, ph_;
     /** Exact path: cm_[x] = sum_{j in N(x)} f_xj d[perm x][perm j]. */
     std::vector<double> cm_;
     std::vector<double> rowMin_;  ///< see rowMins()
-    /** Rows whose minimum entry grew under a column write; update()
-     * recomputes each once at its end. */
-    std::vector<int> dirty_;
-    std::vector<char> isDirty_;
+
+    struct ColumnWrites;
 
     double facilityCost(const std::vector<int> &perm, int x) const;
     void recomputeRowMin(int a);
-    void setColumnEntry(int r, int b, double value);
-    void columnWriteAtMin(int r, double old, double value);
+    void settleRowMin(int a, const ColumnWrites &w);
+    template <class Write> void writeUntouchedRows(Write write);
     void updateIntegral(const std::vector<int> &perm, int u, int v);
-    void loadMovedFacility(const std::vector<int> &perm, int s);
-    void unloadMovedFacility(int s);
-    double partnerSide(int m) const;
-    double movedDelta(const std::vector<int> &perm, int s, int m) const;
-    void rebuildMovedRow(const std::vector<int> &perm, int s, int keep);
-    void refreshMovedFacility(const std::vector<int> &perm, int s,
-                              int u, int v);
+    void loadMovedFacility(const std::vector<int> &perm, int slot,
+                           int s);
+    void movedDeltas(const std::vector<int> &perm, int a, int b,
+                     int from);
+    void writeMovedRow(const std::vector<int> &perm, int slot, int s);
     void correctPartnerRow(int w, int u, int v);
 };
 

@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -167,10 +169,20 @@ referenceTabu(const linalg::FlatMatrix &flow,
     return Placement(best_perm.begin(), best_perm.begin() + n);
 }
 
+/** A double's bit pattern: the cache contract is bit-for-bit, so
+ * -0.0 and +0.0 (equal under ==) must not pass for each other. */
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
 /** Every row minimum must equal a brute-force minimum over the row's
  * scanned entries b > a, dummy tail included (+inf for an empty
- * row): the two-level scan skips a row on it.  Tables below
- * kRowMinsFrom keep none. */
+ * row), bit for bit: the two-level scan skips a row on it.  Tables
+ * below kRowMinsFrom keep none. */
 void
 expectExactRowMins(const DeltaTable &dt, const std::string &when)
 {
@@ -183,13 +195,51 @@ expectExactRowMins(const DeltaTable &dt, const std::string &when)
         double mn = std::numeric_limits<double>::infinity();
         for (int b = a + 1; b < dt.locations(); ++b)
             mn = std::min(mn, dt.delta(a, b));
-        ASSERT_EQ(dt.rowMins()[a], mn)
-            << "row " << a << " after " << when;
+        ASSERT_EQ(bits(dt.rowMins()[a]), bits(mn))
+            << "row " << a << " after " << when << ": "
+            << dt.rowMins()[a] << " vs " << mn;
     }
 }
 
-/** Drive a DeltaTable through `moves` random exchanges, checking it
- * against brute force and fresh evaluation after every one. */
+/** Apply the exchange of u and v (either order) to `perm` and `dt`,
+ * then check the table: the cached move value against the
+ * brute-force cost change, every entry against a fresh evaluation
+ * bit for bit, and every row minimum. */
+void
+applyAndCheck(DeltaTable &dt, const linalg::FlatMatrix &flow,
+              const linalg::FlatMatrix &dist, std::vector<int> &perm,
+              int u, int v, const std::string &when)
+{
+    int n = dt.facilities(), nloc = dt.locations();
+    int lo = std::min(u, v), hi = std::max(u, v);
+
+    // The cached move value must match the brute-force cost change
+    // of actually applying the exchange (a pair of two dummies has no
+    // entry and changes no cost)...
+    double before = bruteCost(flow, dist, perm);
+    std::swap(perm[u], perm[v]);
+    double after = bruteCost(flow, dist, perm);
+    if (lo < n)
+        EXPECT_NEAR(dt.delta(lo, hi), after - before,
+                    1e-9 * (1.0 + std::abs(after - before)))
+            << when << " (" << u << "," << v << ")";
+    else
+        EXPECT_EQ(after, before) << when;
+
+    // ...and after the incremental update every single entry must
+    // equal a fresh evaluation, bit for bit.
+    dt.update(perm, u, v);
+    for (int a = 0; a < n; ++a)
+        for (int b = a + 1; b < nloc; ++b)
+            ASSERT_EQ(bits(dt.delta(a, b)), bits(dt.evaluate(perm, a, b)))
+                << "entry (" << a << "," << b << ") = " << dt.delta(a, b)
+                << " vs " << dt.evaluate(perm, a, b) << " after " << when
+                << " (" << u << "," << v << ")";
+    expectExactRowMins(dt, when);
+}
+
+/** Drive a DeltaTable through `moves` random exchanges, passed to
+ * update() in random order, checking it after every one. */
 void
 checkDeltaTable(const linalg::FlatMatrix &flow,
                 const linalg::FlatMatrix &dist, std::mt19937_64 &rng,
@@ -211,27 +261,12 @@ checkDeltaTable(const linalg::FlatMatrix &flow,
         int u = pickA(rng), v = pickB(rng);
         if (u == v)
             continue;
-        if (u > v)
+        if (step % 2)
             std::swap(u, v);
-
-        // The cached move value must match the brute-force cost
-        // change of actually applying the exchange...
-        double before = bruteCost(flow, dist, perm);
-        std::swap(perm[u], perm[v]);
-        double after = bruteCost(flow, dist, perm);
-        EXPECT_NEAR(dt.delta(u, v), after - before,
-                    1e-9 * (1.0 + std::abs(after - before)))
-            << "move " << step << " (" << u << "," << v << ")";
-
-        // ...and after the incremental update every single entry
-        // must equal a fresh evaluation, bit for bit.
-        dt.update(perm, u, v);
-        for (int a = 0; a < n; ++a)
-            for (int b = a + 1; b < nloc; ++b)
-                ASSERT_EQ(dt.delta(a, b), dt.evaluate(perm, a, b))
-                    << "entry (" << a << "," << b << ") after move "
-                    << step << " (" << u << "," << v << ")";
-        expectExactRowMins(dt, "move " + std::to_string(step));
+        applyAndCheck(dt, flow, dist, perm, u, v,
+                      "move " + std::to_string(step));
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
 }
 
@@ -341,6 +376,67 @@ TEST(DeltaTable, MatchesFreshEvaluationAtDeviceScale)
         auto reg3 = flowMatrix(
             ham::qaoaLayerHamiltonian(g, ham::qaoaFixedAngles(1)[0]));
         checkDeltaTable(reg3, dist, rng, 60, /*expectExact=*/true);
+    }
+}
+
+TEST(DeltaTable, DeviceScaleUpdateEdgeCases)
+{
+    // 200 facilities on grid(16,16), above kRowMinsFrom, with scripted
+    // moves for the edges of update()'s passes: u = 0; a facility that
+    // is a flow partner of both moved facilities with equal weight
+    // (g = 0, so its row only moves where other partners sit); partner
+    // indices below, between and above u and v; a moved dummy; an
+    // exchange of two dummies; the pair passed as (larger, smaller);
+    // and negative integral flows, which the exact path accepts.
+    auto dist = device::grid(16, 16).hopDistances();
+    std::mt19937_64 rng(4646);
+    linalg::FlatMatrix flow = flowMatrix(ham::nnnHeisenberg(200, rng));
+    auto link = [&](int a, int b, double w) { flow[a][b] = flow[b][a] = w; };
+    link(0, 199, -3.0);
+    link(40, 80, 2.0);    // 80: partner of 40 and 120, equal weight
+    link(120, 80, 2.0);
+    link(40, 5, -4.0);    // partners below u...
+    link(120, 60, 5.0);   // ...between u and v...
+    link(120, 190, -1.0); // ...and above v
+    link(40, 150, 1.0);
+    link(7, 100, -2.0);
+    const int n = 200, nloc = 256;
+
+    std::vector<int> perm(nloc);
+    std::iota(perm.begin(), perm.end(), 0);
+    std::shuffle(perm.begin(), perm.end(), rng);
+    DeltaTable dt(flow, dist);
+    ASSERT_TRUE(dt.exactArithmetic());
+    ASSERT_NE(dt.rowMins(), nullptr);
+    dt.reset(perm);
+    expectExactRowMins(dt, "reset");
+
+    const std::pair<int, int> scripted[] = {
+        {0, 199},   // u = 0, v the last real facility
+        {40, 120},  // common partner 80 with g = 0
+        {120, 40},  // same pair, larger index first
+        {0, 230},   // moved dummy
+        {230, 7},   // moved dummy, larger index first
+        {210, 250}, // two dummies
+        {80, 81},   // adjacent partners
+        {199, 255}, // last real facility with the last dummy
+    };
+    for (auto [u, v] : scripted) {
+        applyAndCheck(dt, flow, dist, perm, u, v,
+                      "scripted (" + std::to_string(u) + "," +
+                          std::to_string(v) + ")");
+        if (HasFatalFailure())
+            return;
+    }
+    std::uniform_int_distribution<int> pick(0, nloc - 1);
+    for (int step = 0; step < 40; ++step) {
+        int u = pick(rng), v = pick(rng);
+        if (u == v || std::min(u, v) >= n)
+            continue;
+        applyAndCheck(dt, flow, dist, perm, u, v,
+                      "move " + std::to_string(step));
+        if (HasFatalFailure())
+            return;
     }
 }
 
