@@ -241,47 +241,6 @@ trimmed(const std::string &s)
     return s.substr(a, b - a + 1);
 }
 
-int
-specInt(const std::string &key, const std::string &value)
-{
-    try {
-        size_t used = 0;
-        int v = std::stoi(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument("sweep spec: bad integer '" +
-                                    value + "' for key '" + key +
-                                    "'");
-    }
-}
-
-std::uint64_t
-specU64(const std::string &key, const std::string &value)
-{
-    try {
-        if (!value.empty() && value[0] != '-') {
-            size_t used = 0;
-            std::uint64_t v = std::stoull(value, &used);
-            if (used == value.size())
-                return v;
-        }
-    } catch (const std::exception &) {
-    }
-    throw std::invalid_argument("sweep spec: bad integer '" + value +
-                                "' for key '" + key + "'");
-}
-
-std::vector<int>
-specInts(const std::string &key, const std::vector<std::string> &vals)
-{
-    std::vector<int> out;
-    for (const auto &v : vals)
-        out.push_back(specInt(key, v));
-    return out;
-}
-
 SweepDeviceSpec
 parsedDevice(const std::string &token)
 {
@@ -335,6 +294,23 @@ parseSweepSpec(std::istream &in)
                     "' takes exactly one value");
             return vals.front();
         };
+        auto badInteger = [&key](const std::string &v) {
+            return std::invalid_argument("sweep spec: bad integer '" +
+                                         v + "' for key '" + key +
+                                         "'");
+        };
+        auto integer = [&](const std::string &v) {
+            int out = 0;
+            if (!service::parseI32(v, &out))
+                throw badInteger(v);
+            return out;
+        };
+        auto integers = [&]() {
+            std::vector<int> out;
+            for (const auto &v : vals)
+                out.push_back(integer(v));
+            return out;
+        };
 
         if (key == "experiment" && family.empty()) {
             spec.experiment = one();
@@ -361,22 +337,23 @@ parseSweepSpec(std::istream &in)
             routerByName(spec.router);  // parse-time validation
         } else if (key == "sizes") {
             if (family.empty())
-                spec.sizes = specInts(key, vals);
+                spec.sizes = integers();
             else
                 spec.sizesFor[benchmarkByName(family)] =
-                    specInts(key, vals);
+                    integers();
         } else if (key == "instances") {
             if (family.empty())
-                spec.instances = specInt(key, one());
+                spec.instances = integer(one());
             else
                 spec.instancesFor[benchmarkByName(family)] =
-                    specInt(key, one());
+                    integer(one());
         } else if (key == "seed" && family.empty()) {
-            spec.seed = specU64(key, one());
+            if (!service::parseU64(one(), &spec.seed))
+                throw badInteger(one());
         } else if (key == "trials" && family.empty()) {
-            spec.trials = specInt(key, one());
+            spec.trials = integer(one());
         } else if (key == "mapper_jobs" && family.empty()) {
-            spec.mapperJobs = specInt(key, one());
+            spec.mapperJobs = integer(one());
         } else if (key == "verify" && family.empty()) {
             const std::string &v = one();
             if (v == "on" || v == "1")
@@ -402,11 +379,11 @@ parseSweepSpec(std::istream &in)
                     ": sim takes LABEL N LAYERS SHOTS [INSTANCE] "
                     "[scalar]");
             sc.label = vals[0];
-            sc.n = specInt(key, vals[1]);
-            sc.layers = specInt(key, vals[2]);
-            sc.shots = specInt(key, vals[3]);
+            sc.n = integer(vals[1]);
+            sc.layers = integer(vals[2]);
+            sc.shots = integer(vals[3]);
             if (nvals == 5)
-                sc.instance = specInt(key, vals[4]);
+                sc.instance = integer(vals[4]);
             spec.simCases.push_back(std::move(sc));
         } else {
             throw std::invalid_argument(
@@ -1370,159 +1347,103 @@ benchRowJson(const BenchRow &b)
 
 namespace {
 
-/** Value of "key": in a single-line JSON object written by
- * benchJson() or toJson(); empty when absent.  Handles the two value
- * shapes we emit: plain numbers, and quoted strings carrying every
- * escape service::jsonEscape() writes (\" \\ \b \f \n \r \t
- * \u00XX), so strings round-trip byte for byte. */
-std::string
-jsonFieldOf(const std::string &line, const std::string &key)
+/** Typed reads of one row object parsed by service::parseJsonObject.
+ * Every error names the row (`where`, with its line in a bench file)
+ * and the field; optional fields leave `*out` as it was when absent. */
+class RowFields
 {
-    std::string needle = "\"" + key + "\":";
-    size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return "";
-    size_t v = at + needle.size();
-    if (v >= line.size())
-        return "";
-    if (line[v] == '"') {
-        std::string out;
-        for (size_t i = v + 1; i < line.size(); ++i) {
-            if (line[i] == '"')
-                return out;
-            if (line[i] != '\\' || i + 1 == line.size()) {
-                out += line[i];
-                continue;
-            }
-            char e = line[++i];
-            switch (e) {
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                std::string hex = line.substr(i + 1, 4);
-                if (hex.size() != 4 ||
-                    hex.find_first_not_of("0123456789abcdef") !=
-                        std::string::npos ||
-                    hex.compare(0, 2, "00") != 0)
-                    return "";
-                out += static_cast<char>(std::stoul(hex, nullptr, 16));
-                i += 4;
-                break;
-              }
-              default: out += e;  // the quote and the backslash
-            }
+  public:
+    RowFields(std::string where, const std::string &line)
+        : where_(std::move(where))
+    {
+        try {
+            obj_ = service::parseJsonObject(line);
+        } catch (const std::invalid_argument &e) {
+            throw std::invalid_argument(where_ + ": " + e.what());
         }
-        return "";
     }
-    size_t end = line.find_first_of(",}", v);
-    return line.substr(v, end == std::string::npos ? std::string::npos
-                                                   : end - v);
-}
 
-/** Strict full-consumption parses for bench-json fields.  stoi/stod
- * accept junk-tailed tokens ("12x" -> 12) and a field that survived
- * a truncated write would silently skew a regression gate; here any
- * unconsumed byte, non-finite value, or out-of-range value names the
- * offending field and line instead. */
-[[noreturn]] void
-failBenchField(int lineno, const std::string &key,
-               const std::string &tok, const std::string &why)
-{
-    throw std::invalid_argument("bench json line " +
-                                std::to_string(lineno) +
-                                ": field \"" + key + "\" " + why +
-                                ": '" + tok + "'");
-}
-
-int
-benchIntField(int lineno, const std::string &key,
-              const std::string &tok, int minValue)
-{
-    int v = 0;
-    try {
-        size_t used = 0;
-        v = std::stoi(tok, &used);
-        if (used != tok.size())
-            failBenchField(lineno, key, tok,
-                           "has trailing junk after the integer");
-    } catch (const std::invalid_argument &) {
-        failBenchField(lineno, key, tok, "is not an integer");
-    } catch (const std::out_of_range &) {
-        failBenchField(lineno, key, tok, "is out of range");
+    /** A string; a required one must also be non-empty. */
+    std::string text(const char *key, bool required = false) const
+    {
+        const service::JsonValue *v = find(key, Kind::String, required);
+        if (v && required && v->text.empty())
+            fail(key, "is empty");
+        return v ? v->text : std::string();
     }
-    if (v < minValue)
-        failBenchField(lineno, key, tok,
-                       "must be >= " + std::to_string(minValue));
-    return v;
-}
 
-double
-benchDoubleField(int lineno, const std::string &key,
-                 const std::string &tok)
-{
-    double v = 0.0;
-    try {
-        size_t used = 0;
-        v = std::stod(tok, &used);
-        if (used != tok.size())
-            failBenchField(lineno, key, tok,
-                           "has trailing junk after the number");
-    } catch (const std::invalid_argument &) {
-        failBenchField(lineno, key, tok, "is not a number");
-    } catch (const std::out_of_range &) {
-        failBenchField(lineno, key, tok, "is out of range");
+    void integer(const char *key, int minValue, int *out,
+                 bool required = true) const
+    {
+        const service::JsonValue *v = find(key, Kind::Number, required);
+        if (!v)
+            return;
+        if (!service::parseI32(v->text, out))
+            fail(key, "is not a 32-bit integer: '" + v->text + "'");
+        if (*out < minValue)
+            fail(key, "must be >= " + std::to_string(minValue) +
+                          ": '" + v->text + "'");
     }
-    if (!std::isfinite(v) || v < 0.0)
-        failBenchField(lineno, key, tok,
-                       "must be a finite time in seconds >= 0");
-    return v;
-}
+
+    /** A time in seconds: finite and >= 0. */
+    void seconds(const char *key, double *out,
+                 bool required = true) const
+    {
+        const service::JsonValue *v = find(key, Kind::Number, required);
+        if (v && (!service::parseF64(v->text, out) || *out < 0.0))
+            fail(key, "must be a finite time in seconds >= 0: '" +
+                          v->text + "'");
+    }
+
+  private:
+    using Kind = service::JsonValue::Kind;
+
+    const service::JsonValue *find(const char *key, Kind kind,
+                                   bool required) const
+    {
+        auto it = obj_.find(key);
+        if (it == obj_.end()) {
+            if (required)
+                fail(key, "is missing");
+            return nullptr;
+        }
+        if (it->second.kind != kind)
+            fail(key, kind == Kind::String ? "is not a string"
+                                           : "is not a number");
+        return &it->second;
+    }
+
+    [[noreturn]] void fail(const char *key, const std::string &why) const
+    {
+        throw std::invalid_argument(where_ + ": field \"" + key +
+                                    "\" " + why);
+    }
+
+    std::string where_;
+    service::JsonObject obj_;
+};
 
 BenchRow
-parseBenchLine(int lineno, const std::string &line)
+benchRowFrom(const RowFields &f)
 {
     BenchRow b;
-    b.benchmark = jsonFieldOf(line, "benchmark");
-    b.device = jsonFieldOf(line, "device");
-    b.gateset = jsonFieldOf(line, "gateset");
-    b.backend = jsonFieldOf(line, "compiler");
-    std::string nq = jsonFieldOf(line, "nqubits");
-    std::string inst = jsonFieldOf(line, "instance");
-    std::string med = jsonFieldOf(line, "median_seconds");
-    if (b.benchmark.empty() || b.device.empty() ||
-        b.backend.empty() || nq.empty() || inst.empty() ||
-        med.empty())
-        throw std::invalid_argument(
-            "bench json line " + std::to_string(lineno) +
-            ": missing fields in '" + line + "'");
-    b.nqubits = benchIntField(lineno, "nqubits", nq, 1);
-    b.instance = benchIntField(lineno, "instance", inst, 0);
-    b.medianSeconds =
-        benchDoubleField(lineno, "median_seconds", med);
-    std::string s;
-    if (!(s = jsonFieldOf(line, "min_seconds")).empty())
-        b.minSeconds = benchDoubleField(lineno, "min_seconds", s);
-    if (!(s = jsonFieldOf(line, "max_seconds")).empty())
-        b.maxSeconds = benchDoubleField(lineno, "max_seconds", s);
-    if (!(s = jsonFieldOf(line, "mapping_seconds")).empty())
-        b.mappingSeconds =
-            benchDoubleField(lineno, "mapping_seconds", s);
-    if (!(s = jsonFieldOf(line, "routing_seconds")).empty())
-        b.routingSeconds =
-            benchDoubleField(lineno, "routing_seconds", s);
-    if (!(s = jsonFieldOf(line, "scheduling_seconds")).empty())
-        b.schedulingSeconds =
-            benchDoubleField(lineno, "scheduling_seconds", s);
-    // Optional quality fields (absent in bench files written
-    // before PR 8; -1 = not applicable).
-    if (!(s = jsonFieldOf(line, "swaps")).empty())
-        b.swaps = benchIntField(lineno, "swaps", s, -1);
-    if (!(s = jsonFieldOf(line, "depth2q")).empty())
-        b.depth2q = benchIntField(lineno, "depth2q", s, -1);
-    b.error = jsonFieldOf(line, "error");
+    b.benchmark = f.text("benchmark", true);
+    b.device = f.text("device", true);
+    b.gateset = f.text("gateset");
+    b.backend = f.text("compiler", true);
+    f.integer("nqubits", 1, &b.nqubits);
+    f.integer("instance", 0, &b.instance);
+    f.seconds("median_seconds", &b.medianSeconds);
+    f.seconds("min_seconds", &b.minSeconds, false);
+    f.seconds("max_seconds", &b.maxSeconds, false);
+    f.seconds("mapping_seconds", &b.mappingSeconds, false);
+    f.seconds("routing_seconds", &b.routingSeconds, false);
+    f.seconds("scheduling_seconds", &b.schedulingSeconds, false);
+    // Optional quality fields (absent in older bench files;
+    // -1 = not applicable).
+    f.integer("swaps", -1, &b.swaps, false);
+    f.integer("depth2q", -1, &b.depth2q, false);
+    b.error = f.text("error");
     return b;
 }
 
@@ -1531,59 +1452,37 @@ parseBenchLine(int lineno, const std::string &line)
 BenchRow
 benchRowFromJson(const std::string &line)
 {
-    return parseBenchLine(0, line);
+    return benchRowFrom(RowFields("bench row json", line));
 }
 
 SweepRow
 sweepRowFromJson(const std::string &line)
 {
+    RowFields f("sweep row json", line);
     SweepRow r;
-    r.experiment = jsonFieldOf(line, "experiment");
-    r.benchmark = jsonFieldOf(line, "benchmark");
-    r.device = jsonFieldOf(line, "device");
-    r.gateset = jsonFieldOf(line, "gateset");
-    r.backend = jsonFieldOf(line, "compiler");
-    std::string nq = jsonFieldOf(line, "nqubits");
-    std::string inst = jsonFieldOf(line, "instance");
-    if (r.benchmark.empty() || r.device.empty() ||
-        r.backend.empty() || nq.empty() || inst.empty())
-        throw std::invalid_argument(
-            "sweep row json: missing fields in '" + line + "'");
-    r.nqubits = benchIntField(0, "nqubits", nq, 1);
-    r.instance = benchIntField(0, "instance", inst, 0);
-    // Metric fields are emitted unconditionally by toJson(); treat
-    // each as required and parse strictly (stoi junk tolerance would
-    // let a corrupt payload skew golden CSVs silently).
-    auto intField = [&line](const char *key) {
-        std::string tok = jsonFieldOf(line, key);
-        if (tok.empty())
-            throw std::invalid_argument(
-                "sweep row json: missing field \"" +
-                std::string(key) + "\" in '" + line + "'");
-        return benchIntField(0, key, tok,
-                             std::numeric_limits<int>::min());
-    };
-    auto secondsField = [&line](const char *key) {
-        std::string tok = jsonFieldOf(line, key);
-        if (tok.empty())
-            throw std::invalid_argument(
-                "sweep row json: missing field \"" +
-                std::string(key) + "\" in '" + line + "'");
-        return benchDoubleField(0, key, tok);
-    };
-    r.metrics.swaps = intField("swaps");
-    r.metrics.dressed = intField("dressed");
-    r.metrics.native2q = intField("native2q");
-    r.metrics.depth2q = intField("depth2q");
-    r.metrics.depthAll = intField("depthall");
-    r.metrics.native2qNoMap = intField("native2q_nomap");
-    r.metrics.depth2qNoMap = intField("depth2q_nomap");
-    r.metrics.depthAllNoMap = intField("depthall_nomap");
-    r.seconds = secondsField("seconds");
-    r.mappingSeconds = secondsField("mapping_seconds");
-    r.routingSeconds = secondsField("routing_seconds");
-    r.schedulingSeconds = secondsField("scheduling_seconds");
-    r.error = jsonFieldOf(line, "error");
+    r.experiment = f.text("experiment");
+    r.benchmark = f.text("benchmark", true);
+    r.device = f.text("device", true);
+    r.gateset = f.text("gateset");
+    r.backend = f.text("compiler", true);
+    f.integer("nqubits", 1, &r.nqubits);
+    f.integer("instance", 0, &r.instance);
+    // toJson() writes every metric, so each one is required.
+    const int anyInt = std::numeric_limits<int>::min();
+    CompilationMetrics &m = r.metrics;
+    f.integer("swaps", anyInt, &m.swaps);
+    f.integer("dressed", anyInt, &m.dressed);
+    f.integer("native2q", anyInt, &m.native2q);
+    f.integer("depth2q", anyInt, &m.depth2q);
+    f.integer("depthall", anyInt, &m.depthAll);
+    f.integer("native2q_nomap", anyInt, &m.native2qNoMap);
+    f.integer("depth2q_nomap", anyInt, &m.depth2qNoMap);
+    f.integer("depthall_nomap", anyInt, &m.depthAllNoMap);
+    f.seconds("seconds", &r.seconds);
+    f.seconds("mapping_seconds", &r.mappingSeconds);
+    f.seconds("routing_seconds", &r.routingSeconds);
+    f.seconds("scheduling_seconds", &r.schedulingSeconds);
+    r.error = f.text("error");
     return r;
 }
 
@@ -1597,7 +1496,12 @@ parseBenchJson(std::istream &in)
         ++lineno;
         if (line.find("\"median_seconds\"") == std::string::npos)
             continue;  // header / footer lines
-        rows.push_back(parseBenchLine(lineno, line));
+        // Row lines are array elements: drop the one separator.
+        size_t last = line.find_last_not_of(" \t\r");
+        if (last != std::string::npos && line[last] == ',')
+            line.erase(last, 1);
+        rows.push_back(benchRowFrom(RowFields(
+            "bench json line " + std::to_string(lineno), line)));
     }
     return rows;
 }

@@ -292,7 +292,8 @@ std::string toCsv(const SweepRow &row);
 /** One JSON object (JSONL style), including `seconds` and `error`. */
 std::string toJson(const SweepRow &row);
 /** Strict inverse of toJson() — the sweep campaign's shard payload
- * codec.  @throws std::invalid_argument on malformed lines. */
+ * codec, read with service::parseJsonObject().
+ * @throws std::invalid_argument naming the field on malformed lines. */
 SweepRow sweepRowFromJson(const std::string &line);
 /** @} */
 
@@ -424,9 +425,12 @@ std::string benchRowJson(const BenchRow &row);
 BenchRow benchRowFromJson(const std::string &line);
 
 /**
- * Read the rows back out of a benchJson() document (a minimal
- * line-oriented reader, not a general JSON parser).
- * @throws std::invalid_argument when a row line is malformed.
+ * Read the rows back out of a benchJson() document: each line that
+ * holds a "median_seconds" key is one row object (its trailing `,`
+ * dropped) parsed with service::parseJsonObject(); other lines are
+ * the header and footer.
+ * @throws std::invalid_argument naming the line and the field when a
+ *         row line is malformed.
  */
 std::vector<BenchRow> parseBenchJson(std::istream &in);
 

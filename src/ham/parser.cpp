@@ -2,6 +2,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "service/json.h"
 
 namespace tqan {
 namespace ham {
@@ -22,8 +25,8 @@ TwoLocalHamiltonian
 parseHamiltonian(std::istream &in)
 {
     std::string raw;
+    std::vector<std::string> tok;
     int lineno = 0;
-    int n = -1;
     // Collected before the Hamiltonian exists (qubits line may come
     // first only; enforce that for sane diagnostics).
     TwoLocalHamiltonian h(1);
@@ -31,18 +34,39 @@ parseHamiltonian(std::istream &in)
 
     while (std::getline(in, raw)) {
         ++lineno;
-        auto hash = raw.find('#');
-        if (hash != std::string::npos)
-            raw = raw.substr(0, hash);
-        std::istringstream is(raw);
-        std::string kw;
-        if (!(is >> kw))
+        std::istringstream is(raw.substr(0, raw.find('#')));
+        tok.clear();
+        for (std::string t; is >> t;)
+            tok.push_back(std::move(t));
+        if (tok.empty())
             continue;  // blank / comment line
+        const std::string &kw = tok[0];
+        // Each keyword takes an exact argument count, and every
+        // number is a whole token: "0.5junk" or a stray trailing
+        // value is an error, never silently dropped.
+        auto expectArgs = [&](size_t n, const std::string &usage) {
+            if (tok.size() != n + 1)
+                fail(lineno, "expected: " + usage);
+        };
+        auto intAt = [&](size_t k) {
+            int v = 0;
+            if (!service::parseI32(tok[k], &v))
+                fail(lineno, "bad integer '" + tok[k] + "'");
+            return v;
+        };
+        auto realAt = [&](size_t k) {
+            double v = 0.0;
+            if (!service::parseF64(tok[k], &v))
+                fail(lineno, "bad number '" + tok[k] + "'");
+            return v;
+        };
 
         if (kw == "qubits") {
             if (have_h)
                 fail(lineno, "duplicate 'qubits' line");
-            if (!(is >> n) || n < 1)
+            expectArgs(1, "qubits N");
+            int n = 0;
+            if (!service::parseI32(tok[1], &n) || n < 1)
                 fail(lineno, "bad qubit count");
             h = TwoLocalHamiltonian(n);
             have_h = true;
@@ -53,23 +77,20 @@ parseHamiltonian(std::istream &in)
 
         try {
             if (kw == "xx" || kw == "yy" || kw == "zz") {
-                int u, v;
-                double c;
-                if (!(is >> u >> v >> c))
-                    fail(lineno, "expected: " + kw + " u v coeff");
+                expectArgs(3, kw + " u v coeff");
+                int u = intAt(1), v = intAt(2);
+                double c = realAt(3);
                 h.addPair(u, v, kw == "xx" ? c : 0.0,
                           kw == "yy" ? c : 0.0, kw == "zz" ? c : 0.0);
             } else if (kw == "pair") {
-                int u, v;
-                double cx, cy, cz;
-                if (!(is >> u >> v >> cx >> cy >> cz))
-                    fail(lineno, "expected: pair u v xx yy zz");
+                expectArgs(5, "pair u v xx yy zz");
+                int u = intAt(1), v = intAt(2);
+                double cx = realAt(3), cy = realAt(4), cz = realAt(5);
                 h.addPair(u, v, cx, cy, cz);
             } else if (kw == "x" || kw == "y" || kw == "z") {
-                int q;
-                double c;
-                if (!(is >> q >> c))
-                    fail(lineno, "expected: " + kw + " q coeff");
+                expectArgs(2, kw + " q coeff");
+                int q = intAt(1);
+                double c = realAt(2);
                 Axis a = kw == "x"   ? Axis::X
                          : kw == "y" ? Axis::Y
                                      : Axis::Z;

@@ -27,7 +27,8 @@ namespace tqan {
 namespace ham {
 
 /** Parse the text format; throws std::runtime_error with a line
- * number on malformed input. */
+ * number on malformed input.  Every number must be a whole token and
+ * every line carry exactly its keyword's argument count. */
 TwoLocalHamiltonian parseHamiltonian(std::istream &in);
 TwoLocalHamiltonian parseHamiltonian(const std::string &text);
 

@@ -13,17 +13,21 @@ namespace service {
 
 namespace {
 
-[[noreturn]] void
-fail(size_t pos, const std::string &what)
-{
-    throw std::invalid_argument("json: at byte " +
-                                std::to_string(pos) + ": " + what);
-}
-
 struct Cursor
 {
     const std::string &s;
     size_t i = 0;
+    /** Key whose value is being read: errors name it, so a caller
+     * reporting a bad row can point at the field. */
+    const std::string *key = nullptr;
+
+    [[noreturn]] void fail(size_t pos, const std::string &what) const
+    {
+        std::string where = "json: at byte " + std::to_string(pos);
+        if (key)
+            where += " (value of \"" + *key + "\")";
+        throw std::invalid_argument(where + ": " + what);
+    }
 
     bool done() const { return i >= s.size(); }
     char peek() const { return s[i]; }
@@ -51,16 +55,15 @@ parseString(Cursor &c)
     std::string out;
     while (true) {
         if (c.done())
-            fail(c.i, "unterminated string");
+            c.fail(c.i, "unterminated string");
         unsigned char ch = static_cast<unsigned char>(c.s[c.i]);
         if (ch == '"') {
             ++c.i;
             return out;
         }
         if (ch < 0x20)
-            fail(c.i, "raw control character in string (escape it)");
-        if (ch >= 0x80)
-            fail(c.i, "non-ASCII byte in string");
+            c.fail(c.i,
+                   "raw control character in string (escape it)");
         if (ch != '\\') {
             out += static_cast<char>(ch);
             ++c.i;
@@ -68,7 +71,7 @@ parseString(Cursor &c)
         }
         ++c.i;  // consume backslash
         if (c.done())
-            fail(c.i, "dangling escape");
+            c.fail(c.i, "dangling escape");
         char e = c.s[c.i++];
         switch (e) {
           case '"':  out += '"'; break;
@@ -81,7 +84,7 @@ parseString(Cursor &c)
           case 't':  out += '\t'; break;
           case 'u': {
             if (c.i + 4 > c.s.size())
-                fail(c.i, "truncated \\u escape");
+                c.fail(c.i, "truncated \\u escape");
             unsigned v = 0;
             for (int k = 0; k < 4; ++k) {
                 char h = c.s[c.i + k];
@@ -93,18 +96,18 @@ parseString(Cursor &c)
                 else if (h >= 'A' && h <= 'F')
                     v |= static_cast<unsigned>(h - 'A' + 10);
                 else
-                    fail(c.i + k, "bad hex digit in \\u escape");
+                    c.fail(c.i + k, "bad hex digit in \\u escape");
             }
             if (v > 0x7f)
-                fail(c.i, "\\u escape above 0x7f unsupported "
-                          "(protocol is ASCII)");
+                c.fail(c.i, "\\u escape above 0x7f unsupported "
+                            "(write the UTF-8 bytes raw)");
             c.i += 4;
             out += static_cast<char>(v);
             break;
           }
           default:
-            fail(c.i - 1, std::string("unknown escape '\\") + e +
-                              "'");
+            c.fail(c.i - 1, std::string("unknown escape '\\") + e +
+                                "'");
         }
     }
 }
@@ -113,7 +116,7 @@ JsonValue
 parseValue(Cursor &c)
 {
     if (c.done())
-        fail(c.i, "expected a value");
+        c.fail(c.i, "expected a value");
     JsonValue v;
     char ch = c.peek();
     if (ch == '"') {
@@ -122,8 +125,8 @@ parseValue(Cursor &c)
         return v;
     }
     if (ch == '{' || ch == '[')
-        fail(c.i, "nested objects/arrays are not part of the "
-                  "protocol");
+        c.fail(c.i, "nested objects/arrays are not part of the "
+                    "protocol");
     if (c.s.compare(c.i, 4, "true") == 0) {
         v.kind = JsonValue::Kind::Bool;
         v.boolean = true;
@@ -153,12 +156,12 @@ parseValue(Cursor &c)
             break;
     }
     if (c.i == start)
-        fail(start, "expected a value");
+        c.fail(start, "expected a value");
     v.kind = JsonValue::Kind::Number;
     v.text = c.s.substr(start, c.i - start);
     double d;
     if (!parseF64(v.text, &d))
-        fail(start, "bad number '" + v.text + "'");
+        c.fail(start, "bad number '" + v.text + "'");
     return v;
 }
 
@@ -180,25 +183,29 @@ parseJsonObject(const std::string &line)
             size_t keyAt = c.i;
             std::string key = parseString(c);
             if (obj.find(key) != obj.end())
-                fail(keyAt, "duplicate key \"" + key + "\"");
+                c.fail(keyAt, "duplicate key \"" + key + "\"");
+            c.key = &key;
             c.skipWs();
             c.expect(':');
             c.skipWs();
-            obj.emplace(std::move(key), parseValue(c));
+            JsonValue v = parseValue(c);
             c.skipWs();
             if (c.done())
-                fail(c.i, "unterminated object");
-            if (c.peek() == ',') {
+                c.fail(c.i, "unterminated object");
+            char sep = c.peek();
+            if (sep == ',')
                 ++c.i;
-                continue;
-            }
-            c.expect('}');
-            break;
+            else
+                c.expect('}');
+            c.key = nullptr;
+            obj.emplace(std::move(key), std::move(v));
+            if (sep != ',')
+                break;
         }
     }
     c.skipWs();
     if (!c.done())
-        fail(c.i, "trailing bytes after object");
+        c.fail(c.i, "trailing bytes after object");
     return obj;
 }
 
@@ -217,7 +224,7 @@ jsonEscape(const std::string &s)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (ch < 0x20 || ch >= 0x80) {
+            if (ch < 0x20) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
                 out += buf;
@@ -270,7 +277,10 @@ parseI32(const std::string &s, int *out)
 bool
 parseF64(const std::string &s, double *out)
 {
-    if (s.empty())
+    // Decimal spellings only: strtod alone would also take leading
+    // blanks, hex floats and "infinity".
+    if (s.empty() ||
+        s.find_first_not_of("0123456789+-.eE") != std::string::npos)
         return false;
     char *end = nullptr;
     errno = 0;

@@ -1,15 +1,29 @@
 /**
  * @file
- * Minimal strict JSON for the compile-service JSONL protocol.
+ * The repo's one JSON codec: strict flat-object JSON.
+ *
+ * Users: the compile-service JSONL protocol (`tqand` requests and
+ * responses), the `tqan-sweep` JSON rows and BENCH_*.json rows
+ * (written and read back by core/sweep.cpp, including campaign
+ * checkpoint payloads), and the perfbench harness.
  *
  * The service reads one JSON object per line from untrusted bytes,
  * so the parser is deliberately strict and small rather than
  * general: one flat object of string / number / boolean / null
- * values, duplicate keys rejected, nothing after the closing brace,
- * ASCII only (\uXXXX escapes above 0x7f are rejected).  Numbers are
- * kept as raw tokens and converted by the strict full-consumption
- * helpers below — a request field of "7junk" is an error, never 7
- * (the input-parsing convention this PR establishes repo-wide).
+ * values, duplicate keys rejected, nothing after the closing brace.
+ * Errors give the byte offset and, inside a value, the key being
+ * read.  Numbers are kept as raw tokens and converted by the strict
+ * full-consumption helpers below — a request field of "7junk" is an
+ * error, never 7.
+ *
+ * Strings are byte-transparent.  jsonEscape() escapes only the quote,
+ * the backslash and bytes below 0x20; every other byte, 0x7f and
+ * bytes >= 0x80 included, is written as is, and the parser takes raw
+ * bytes >= 0x80 back unchanged.  So valid UTF-8 in (RFC 8259 §8.1)
+ * is valid UTF-8 out, and any string round-trips byte for byte.
+ * \uXXXX escapes above 0x7f are rejected: nothing here writes them,
+ * and decoding them would need a UTF-8 encoder for one spelling of
+ * bytes the raw form already carries.
  */
 
 #ifndef TQAN_SERVICE_JSON_H
@@ -54,7 +68,8 @@ using JsonObject = std::map<std::string, JsonValue>;
  */
 JsonObject parseJsonObject(const std::string &line);
 
-/** Escape a string for embedding in a JSON response line. */
+/** Escape a string for embedding in a JSON line: the quote, the
+ * backslash and bytes below 0x20 only (see the file comment). */
 std::string jsonEscape(const std::string &s);
 
 /** @name Strict full-consumption numeric parses.

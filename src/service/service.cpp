@@ -255,7 +255,8 @@ CompileService::canonicalRequest(const CompileRequest &req,
     // inserted, so a key can only hit on `ham` text this build's
     // parser accepted.  That holds only while this tag changes
     // whenever the parser's accepted input changes — bump it then.
-    std::string s = "tqan-compile-v1\n";
+    // v2: the parser rejects junk-tailed numbers and surplus tokens.
+    std::string s = "tqan-compile-v2\n";
     s += "backend=" + req.backend + "\n";
     s += "device=" + topo.name() + ":" +
          std::to_string(topo.numQubits()) + ":";

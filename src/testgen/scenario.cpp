@@ -9,6 +9,7 @@
 #include "ham/models.h"
 #include "ham/parser.h"
 #include "ham/trotter.h"
+#include "service/json.h"
 
 namespace tqan {
 namespace testgen {
@@ -346,11 +347,14 @@ scenarioFromSpec(std::istream &in)
             inHam = true;
             continue;
         }
+        auto bad = [lineNo](const std::string &what) {
+            return std::invalid_argument("scenarioFromSpec: line " +
+                                         std::to_string(lineNo) +
+                                         ": " + what);
+        };
         size_t eq = line.find('=');
         if (eq == std::string::npos)
-            throw std::invalid_argument(
-                "scenarioFromSpec: line " + std::to_string(lineNo) +
-                ": expected 'key = value', got '" + line + "'");
+            throw bad("expected 'key = value', got '" + line + "'");
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
         key = key.substr(0, key.find_last_not_of(" \t") + 1);
@@ -359,28 +363,24 @@ scenarioFromSpec(std::istream &in)
         if (key == "kind") {
             // Informational; the Hamiltonian below is authoritative.
         } else if (key == "seed") {
-            s.seed = std::stoull(val);
+            if (!service::parseU64(val, &s.seed))
+                throw bad("bad seed '" + val + "'");
         } else if (key == "time") {
-            s.time = std::stod(val);
+            if (!service::parseF64(val, &s.time))
+                throw bad("bad time '" + val + "'");
         } else if (key == "device") {
             s.topo = topologyFromSpec(val);
             haveDevice = true;
         } else if (key == "noise") {
-            std::istringstream ns(val);
-            std::uint64_t nseed = 0;
-            double lambda = 1.0;
-            if (!(ns >> nseed >> lambda))
-                throw std::invalid_argument(
-                    "scenarioFromSpec: line " +
-                    std::to_string(lineNo) +
-                    ": expected 'noise = <seed> <lambda>'");
+            size_t sp = val.find_first_of(" \t");
+            size_t lam = val.find_first_not_of(" \t", sp);
+            if (lam == std::string::npos ||
+                !service::parseU64(val.substr(0, sp), &s.noiseSeed) ||
+                !service::parseF64(val.substr(lam), &s.noiseLambda))
+                throw bad("expected 'noise = <seed> <lambda>'");
             s.withNoise = true;
-            s.noiseSeed = nseed;
-            s.noiseLambda = lambda;
         } else {
-            throw std::invalid_argument(
-                "scenarioFromSpec: line " + std::to_string(lineNo) +
-                ": unknown key '" + key + "'");
+            throw bad("unknown key '" + key + "'");
         }
     }
     if (!haveDevice)

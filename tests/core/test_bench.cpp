@@ -337,6 +337,21 @@ TEST(Bench, ParseRejectsMalformedRowLines)
         "{\"benchmark\":\"X\",\"median_seconds\":0.5}\n"
         "]}\n");
     EXPECT_THROW(parseBenchJson(in), std::invalid_argument);
+
+    // Each line is otherwise a valid row: bytes after the closing
+    // brace, a duplicate key, a nested value.
+    const std::string row = "{\"benchmark\":\"X\",\"device\":\"d\","
+                            "\"compiler\":\"2qan\",\"nqubits\":4,"
+                            "\"instance\":0,\"median_seconds\":0.5";
+    for (const std::string &bad :
+         {row + "} junk", row + ",\"nqubits\":5}",
+          row + ",\"error\":{\"why\":\"x\"}}"}) {
+        std::istringstream one(bad + "\n");
+        EXPECT_THROW(parseBenchJson(one), std::invalid_argument)
+            << "accepted: " << bad;
+    }
+    std::istringstream ok(row + "},\n");
+    EXPECT_EQ(parseBenchJson(ok).size(), 1u);
 }
 
 TEST(Bench, CompareFlagsOnlyRegressionsBeyondTolerance)

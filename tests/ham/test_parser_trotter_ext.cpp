@@ -66,6 +66,24 @@ TEST(Parser, Failures)
                  std::runtime_error);  // bad count
     EXPECT_THROW(parseHamiltonian("qubits 2\nqubits 3\n"),
                  std::runtime_error);  // duplicate
+    // Every number is a whole token and every line an exact count.
+    for (const char *junk :
+         {"zz 0 1 0.5junk\n", "zz 1 2 0.5 7 8\n", "xx 0 1x 0.5\n",
+          "pair 0 1 0.1 0.2 0.3 0.4\n", "x 0 0.5 # ok\nz 1 1e\n",
+          "y 1 0x1p-1\n", "zz 0 1 nan\n"}) {
+        EXPECT_THROW(parseHamiltonian(std::string("qubits 3\n") + junk),
+                     std::runtime_error)
+            << junk;
+    }
+    EXPECT_THROW(parseHamiltonian("qubits 3 4\n"), std::runtime_error);
+    EXPECT_THROW(parseHamiltonian("qubits 3x\n"), std::runtime_error);
+    try {
+        parseHamiltonian("qubits 3\n\nzz 0 1 0.5junk\n");
+        FAIL() << "junk-tailed coefficient was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "parseHamiltonian: line 3: bad number '0.5junk'");
+    }
 }
 
 TEST(TrotterExt, SecondOrderStructure)

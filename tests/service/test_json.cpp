@@ -56,6 +56,15 @@ TEST(JsonParse, EscapeRoundTrip)
     JsonObject o =
         parseJsonObject("{\"k\":\"" + jsonEscape(raw) + "\"}");
     EXPECT_EQ(o.at("k").text, raw);
+
+    // Bytes >= 0x80 pass through unescaped both ways, so UTF-8 stays
+    // UTF-8 (and arbitrary high bytes still round-trip).
+    const std::string utf8 = "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x98\x80";
+    const std::string high = std::string("x") + '\x80' + '\xff';
+    EXPECT_EQ(jsonEscape(utf8), utf8);
+    EXPECT_EQ(jsonEscape(high), high);
+    o = parseJsonObject("{\"k\":\"" + jsonEscape(utf8 + high) + "\"}");
+    EXPECT_EQ(o.at("k").text, utf8 + high);
 }
 
 TEST(JsonNumbers, StrictFullConsumptionParses)
@@ -75,4 +84,6 @@ TEST(JsonNumbers, StrictFullConsumptionParses)
     EXPECT_FALSE(parseF64("1.5x", &d));
     EXPECT_FALSE(parseF64("nan", &d));
     EXPECT_FALSE(parseF64("inf", &d));
+    EXPECT_FALSE(parseF64("0x1p3", &d));  // decimal spellings only
+    EXPECT_FALSE(parseF64(" 1.5", &d));
 }

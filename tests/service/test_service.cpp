@@ -390,6 +390,30 @@ TEST(CompileServiceServe, ServeMatchesHandleLineByteForByte)
     EXPECT_EQ(out.str(), expect + "\n");
 }
 
+TEST(CompileServiceServe, Utf8IdComesBackByteIdentical)
+{
+    // Strings are byte-transparent: a UTF-8 id is echoed raw (not as
+    // per-byte \u00XX escapes), on the sync and the serve() path,
+    // for ok and error responses alike.
+    const std::string id = "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x98\x80";
+    const std::string bad =
+        "{\"type\":\"frobnicate\",\"id\":\"" + id + "\"}";
+    CompileService svc;
+    std::string direct = svc.handleLine(compileLine(id));
+    EXPECT_EQ(direct.rfind("{\"id\":\"" + id + "\",", 0), 0u) << direct;
+    EXPECT_EQ(strOf(decoded(direct), "status"), "ok");
+    std::string error = svc.handleLine(bad);
+    EXPECT_EQ(strOf(decoded(error), "id"), id);
+    EXPECT_EQ(strOf(decoded(error), "status"), "error");
+
+    CompileService fresh;
+    std::vector<std::string> served =
+        serveLines(fresh, compileLine(id) + "\n" + bad + "\n");
+    ASSERT_EQ(served.size(), 2u);
+    EXPECT_EQ(served[0], direct);
+    EXPECT_EQ(served[1], error);
+}
+
 TEST(CompileServiceServe, ShutdownRequestStopsTheLoop)
 {
     CompileService svc;

@@ -147,6 +147,36 @@ TEST(ScenarioGen, SpecRoundTrip)
     }
 }
 
+TEST(ScenarioGen, SpecRejectsJunkValues)
+{
+    const std::string tail = "device = line:3\nhamiltonian:\nqubits 2\n"
+                             "zz 0 1 0.5\n";
+    Scenario ok = testgen::scenarioFromSpec(
+        "seed = 7\ntime = 0.5\nnoise = 11 0.25\n" + tail);
+    EXPECT_EQ(ok.seed, 7u);
+    EXPECT_EQ(ok.time, 0.5);
+    EXPECT_TRUE(ok.withNoise);
+    EXPECT_EQ(ok.noiseSeed, 11u);
+    EXPECT_EQ(ok.noiseLambda, 0.25);
+
+    // Prefix parses used to take each of these (and "-1" wrapped to
+    // 2^64 - 1); now each fails naming its line.
+    for (const char *bad :
+         {"seed = 7junk", "seed = -1", "seed =", "time = 0.5x",
+          "time = nan", "noise = 11", "noise = 11x 0.25",
+          "noise = 11 0.25x", "noise = 11 0.25 3"}) {
+        try {
+            testgen::scenarioFromSpec("# header\n" + std::string(bad) +
+                                      "\n" + tail);
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(RandomTopology, SpecRoundTripAndNamedFallback)
 {
     std::mt19937_64 rng(5);
