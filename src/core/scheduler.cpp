@@ -48,19 +48,33 @@ ScheduleResult
 scheduleNoMap(const Circuit &circuit)
 {
     int n = circuit.numQubits();
-    // Conflict graph over two-qubit ops.
+    // Conflict graph over two-qubit ops, one edge per pair sharing a
+    // qubit, built from per-qubit op lists: O(sum of list sizes
+    // squared) instead of testing every pair.  Two ops on the same
+    // pair of qubits meet in both lists; the edge is added at the
+    // smaller qubit.
     std::vector<int> twoq;
     for (int i = 0; i < circuit.size(); ++i)
         if (circuit.op(i).isTwoQubit())
             twoq.push_back(i);
-    graph::Graph conflict(static_cast<int>(twoq.size()));
+    std::vector<std::vector<int>> on_qubit(n);
     for (size_t a = 0; a < twoq.size(); ++a) {
-        for (size_t b = a + 1; b < twoq.size(); ++b) {
-            const auto &oa = circuit.op(twoq[a]);
-            const auto &ob = circuit.op(twoq[b]);
-            if (oa.touches(ob.q0) || oa.touches(ob.q1))
-                conflict.addEdge(static_cast<int>(a),
-                                 static_cast<int>(b));
+        const Op &o = circuit.op(twoq[a]);
+        on_qubit[o.q0].push_back(static_cast<int>(a));
+        if (o.q1 != o.q0)
+            on_qubit[o.q1].push_back(static_cast<int>(a));
+    }
+    graph::Graph conflict(static_cast<int>(twoq.size()));
+    for (int q = 0; q < n; ++q) {
+        const std::vector<int> &list = on_qubit[q];
+        for (size_t x = 0; x < list.size(); ++x) {
+            const Op &oa = circuit.op(twoq[list[x]]);
+            int other = oa.q0 == q ? oa.q1 : oa.q0;
+            for (size_t y = x + 1; y < list.size(); ++y) {
+                if (other < q && circuit.op(twoq[list[y]]).touches(other))
+                    continue;
+                conflict.addEdge(list[x], list[y]);
+            }
         }
     }
     auto color = graph::greedyColoring(conflict);
@@ -70,15 +84,15 @@ scheduleNoMap(const Circuit &circuit)
     res.deviceCircuit = Circuit(n);
     res.initialMap = qap::identityPlacement(n);
     res.finalMap = res.initialMap;
+    // Color-major, ascending op order within a color.
     res.cycles.resize(std::max(0, ncolors));
-    for (int c = 0; c < ncolors; ++c) {
-        for (size_t a = 0; a < twoq.size(); ++a) {
-            if (color[a] == c) {
-                res.deviceCircuit.add(circuit.op(twoq[a]));
-                res.cycles[c].push_back(res.deviceCircuit.size() - 1);
-            }
+    for (size_t a = 0; a < twoq.size(); ++a)
+        res.cycles[color[a]].push_back(static_cast<int>(a));
+    for (auto &cycle : res.cycles)
+        for (int &a : cycle) {
+            res.deviceCircuit.add(circuit.op(twoq[a]));
+            a = res.deviceCircuit.size() - 1;
         }
-    }
     appendOneQubitOps(circuit, res.initialMap, res);
     return res;
 }
@@ -100,7 +114,7 @@ scheduleHybridAlap(const Circuit &circuit,
             assigned.push_back(static_cast<int>(mi));
         }
     }
-    std::vector<char> done(ops.size(), 0);
+    const int nops = static_cast<int>(ops.size());
 
     // cntByMap[mi] = unscheduled ops assigned to map mi; suffix =
     // number assigned to maps >= cur (blocks undoing swap cur-1).
@@ -109,36 +123,85 @@ scheduleHybridAlap(const Circuit &circuit,
         ++cnt_by_map[a];
     long suffix = cnt_by_map[cur];
 
-    struct RevOp
-    {
-        Op op;       // device-qubit op
-    };
-    std::vector<std::vector<RevOp>> rev_cycles;
-
     // The current map, walked back from the final one by un-applying
     // each SWAP as it is scheduled.
     Placement mp = routing.finalMap;
     std::vector<int> inv = qap::invertPlacement(mp, topo.numQubits());
 
+    // The ready set: unscheduled ops that are NN under the current
+    // map, ascending -- exactly the ops the paper's per-cycle scan
+    // over every op would accept but for busy qubits.  nn[i] is op
+    // i's NN test under the current map; an op sits in `ready` (with
+    // in_ready set) from when it becomes NN until it is scheduled or
+    // found stale.  Only an un-applied SWAP moves logical qubits, so
+    // only the unscheduled ops on its two qubits (by_qubit) are
+    // re-tested; newly NN ops wait in `fresh` and are merged in
+    // before the next cycle's scan.
+    std::vector<char> nn(nops, 0), in_ready(nops, 0), done(nops, 0);
+    std::vector<std::vector<int>> by_qubit(mp.size());
+    std::vector<int> ready, kept, fresh;
+    for (int i = 0; i < nops; ++i) {
+        const Op &o = circuit.op(ops[i]);
+        by_qubit[o.q0].push_back(i);
+        by_qubit[o.q1].push_back(i);
+        if (topo.connected(mp[o.q0], mp[o.q1])) {
+            nn[i] = in_ready[i] = 1;
+            ready.push_back(i);
+        }
+    }
+    auto retestOpsOn = [&](int lq) {
+        // Drops scheduled ops from the list on the way.
+        std::vector<int> &list = by_qubit[lq];
+        for (size_t k = 0; k < list.size();) {
+            int i = list[k];
+            if (done[i]) {
+                list[k] = list.back();
+                list.pop_back();
+                continue;
+            }
+            const Op &o = circuit.op(ops[i]);
+            nn[i] = topo.connected(mp[o.q0], mp[o.q1]);
+            if (nn[i] && !in_ready[i]) {
+                in_ready[i] = 1;
+                fresh.push_back(i);
+            }
+            ++k;
+        }
+    };
+
+    // Reverse-time cycles, flat: cycle c is rev_ops[rev_start[c] ..
+    // rev_start[c + 1]) (device-qubit ops).
+    std::vector<Op> rev_ops;
+    std::vector<size_t> rev_start;
+
     size_t remaining = ops.size();
     std::vector<char> busy(topo.numQubits(), 0);
     while (remaining > 0 || cur > 0) {
-        std::fill(busy.begin(), busy.end(), 0);
-        rev_cycles.emplace_back();
+        // Free the qubits of the previous cycle: busy is set only there.
+        if (!rev_start.empty())
+            for (size_t k = rev_start.back(); k < rev_ops.size(); ++k)
+                busy[rev_ops[k].q0] = busy[rev_ops[k].q1] = 0;
+        rev_start.push_back(rev_ops.size());
         bool progress = false;
 
         // Lines 6-8: circuit gates NN under the current map with free
-        // qubits (any map works -- permutation freedom).
-        for (size_t i = 0; i < ops.size(); ++i) {
-            if (done[i])
+        // qubits (any map works -- permutation freedom), in op order.
+        kept.clear();
+        for (int i : ready) {
+            if (!nn[i]) {
+                in_ready[i] = 0;  // stale: a SWAP moved it out of reach
                 continue;
+            }
             const Op &o = circuit.op(ops[i]);
             int du = mp[o.q0], dv = mp[o.q1];
-            if (!topo.connected(du, dv) || busy[du] || busy[dv])
+            if (busy[du] || busy[dv]) {
+                kept.push_back(i);
                 continue;
-            rev_cycles.back().push_back({onDevice(o, du, dv)});
+            }
+            rev_ops.push_back(onDevice(o, du, dv));
             busy[du] = busy[dv] = 1;
             done[i] = 1;
+            in_ready[i] = 0;
             --remaining;
             --cnt_by_map[assigned[i]];
             if (assigned[i] >= cur)
@@ -160,9 +223,12 @@ scheduleHybridAlap(const Circuit &circuit,
             } else {
                 sop = Op::swap(s.p, s.q);
             }
-            rev_cycles.back().push_back({sop});
+            rev_ops.push_back(sop);
             busy[s.p] = busy[s.q] = 1;
             qap::applySwap(mp, inv, s.p, s.q);
+            for (int lq : {inv[s.p], inv[s.q]})
+                if (lq >= 0)
+                    retestOpsOn(lq);
             --cur;
             suffix += cnt_by_map[cur];
             progress = true;
@@ -173,7 +239,14 @@ scheduleHybridAlap(const Circuit &circuit,
         // once suffix == 0 the next SWAP can be un-applied.
         if (!progress)
             throw std::runtime_error("scheduleHybridAlap: no progress");
+
+        std::sort(fresh.begin(), fresh.end());
+        ready.resize(kept.size() + fresh.size());
+        std::merge(kept.begin(), kept.end(), fresh.begin(), fresh.end(),
+                   ready.begin());
+        fresh.clear();
     }
+    rev_start.push_back(rev_ops.size());
 
     // Line 15: reverse into forward time and materialize.
     ScheduleResult res;
@@ -182,13 +255,12 @@ scheduleHybridAlap(const Circuit &circuit,
     res.finalMap = routing.finalMap;
     res.swapCount = nswaps;
     res.dressedCount = routing.dressedCount();
-    for (auto it = rev_cycles.rbegin(); it != rev_cycles.rend();
-         ++it) {
-        if (it->empty())
+    for (size_t c = rev_start.size() - 1; c-- > 0;) {
+        if (rev_start[c] == rev_start[c + 1])
             continue;
         res.cycles.emplace_back();
-        for (const auto &ro : *it) {
-            res.deviceCircuit.add(ro.op);
+        for (size_t k = rev_start[c]; k < rev_start[c + 1]; ++k) {
+            res.deviceCircuit.add(rev_ops[k]);
             res.cycles.back().push_back(res.deviceCircuit.size() - 1);
         }
     }

@@ -6,7 +6,9 @@
  *
  *  - scheduleNoMap: dependency-free scheduling of one Trotter step by
  *    greedy graph coloring of the gate-conflict graph (the paper's
- *    all-to-all "NoMap" baseline used to compute overheads).
+ *    all-to-all "NoMap" baseline used to compute overheads).  The
+ *    graph is built from per-qubit op lists, so its cost follows the
+ *    number of conflicting pairs, not ops squared.
  *
  *  - scheduleHybridAlap: the paper's Algorithm 2.  As-late-as-
  *    possible sweep starting from the *last* qubit map: at each cycle
@@ -14,7 +16,12 @@
  *    under the current map and whose qubits are free is scheduled
  *    (permutation freedom!), then SWAPs are un-applied (in reverse
  *    insertion order) once all operators that depend on them are
- *    scheduled.  Finally the cycle sequence is reversed.
+ *    scheduled.  Finally the cycle sequence is reversed.  A cycle
+ *    visits only the ready set (unscheduled ops NN under the current
+ *    map, in op order) and an un-applied SWAP re-tests only the ops
+ *    on its two qubits, so the sweep costs O(ops + sum over cycles
+ *    of the ready set + SWAPs x ops per qubit), not
+ *    O(cycles x ops).
  *
  *  - scheduleGenericAlap: ablation baseline mimicking a conventional
  *    scheduler that respects the routing pass's gate order (paper

@@ -19,9 +19,11 @@ greedyColoring(const Graph &g)
     std::vector<int> color(n, -1);
     std::vector<char> used;
     for (int v : order) {
-        used.assign(n + 1, 0);
+        // v's color is at most its degree, so only colors up to it
+        // matter.
+        used.assign(g.degree(v) + 1, 0);
         for (int w : g.neighbors(v))
-            if (color[w] >= 0)
+            if (color[w] >= 0 && color[w] <= g.degree(v))
                 used[color[w]] = 1;
         int c = 0;
         while (used[c])

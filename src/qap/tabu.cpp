@@ -26,7 +26,7 @@ namespace qap {
  *  - Integral data (hop-distance QAPs: flows are interaction counts,
  *    distances are hop counts).  With F = max_x sum_j |f_xj| and
  *    D = max |d|, every delta and every partial sum below is an
- *    integer of magnitude <= 8 F D; the constructor checks
+ *    integer of magnitude <= 8 F D; QapInstance checks
  *    8 F D < 2^53, so all of it is exact in a double and any
  *    summation order gives the bits of a fresh evaluation.  Rows of
  *    flow partners of the moved pair {u,v} take Taillard's O(1)
@@ -99,46 +99,27 @@ lower(double m, double x)
     return x < m ? x : m;
 }
 
-/** The integral path's data conditions (block comment above):
- * integral entries, a zero distance diagonal and 8 F D < 2^53.  NaN
- * fails integrality; an infinite distance fails the bound. */
-bool
-exactPathHolds(const linalg::FlatMatrix &flow,
-               const linalg::FlatMatrix &dist)
+/** Largest |d| when the distance side of the integral path holds
+ * (block comment above): symmetric integral entries and a zero
+ * diagonal; NaN otherwise.  One pass, row by row.  NaN fails
+ * integrality; an infinite distance fails the caller's bound. */
+double
+exactMaxDistance(const linalg::FlatMatrix &dist)
 {
-    double maxRowSum = 0.0;  // F
-    for (int i = 0; i < flow.rows(); ++i) {
-        double sum = 0.0;
-        for (int j = 0; j < flow.cols(); ++j) {
-            double f = flow[i][j];
-            if (f != std::floor(f))
-                return false;
-            sum += std::fabs(f);
-        }
-        maxRowSum = std::max(maxRowSum, sum);
-    }
-    double maxDist = 0.0;  // D
+    const double fail = std::numeric_limits<double>::quiet_NaN();
+    double maxDist = 0.0;
     for (int i = 0; i < dist.rows(); ++i) {
-        if (dist[i][i] != 0.0)
-            return false;
+        const double *row = dist[i];
+        if (row[i] != 0.0)
+            return fail;
         for (int j = 0; j < dist.cols(); ++j) {
-            double d = dist[i][j];
-            if (d != std::floor(d))
-                return false;
+            double d = row[j];
+            if (d != std::floor(d) || (j > i && d != dist[j][i]))
+                return fail;
             maxDist = std::max(maxDist, std::fabs(d));
         }
     }
-    return 8.0 * maxRowSum * maxDist < 9007199254740992.0;  // 2^53
-}
-
-bool
-isSymmetric(const linalg::FlatMatrix &m)
-{
-    for (int i = 0; i < m.rows(); ++i)
-        for (int j = i + 1; j < m.cols(); ++j)
-            if (m[i][j] != m[j][i])
-                return false;
-    return true;
+    return maxDist;
 }
 
 } // namespace
@@ -159,49 +140,82 @@ struct DeltaTable::ColumnWrites
     }
 };
 
-DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
-                       const linalg::FlatMatrix &dist)
+QapInstance::QapInstance(const linalg::FlatMatrix &flow,
+                         const linalg::FlatMatrix &dist)
     : dist_(&dist), n_(flow.rows()), nloc_(dist.rows()),
-      keepMins_(static_cast<long>(n_) * nloc_ >= kRowMinsFrom)
+      keepMins_(static_cast<long>(n_) * nloc_ >=
+                DeltaTable::kRowMinsFrom)
 {
     if (flow.rows() != flow.cols())
-        throw std::invalid_argument("DeltaTable: flow not square");
+        throw std::invalid_argument("QapInstance: flow not square");
     if (dist.rows() != dist.cols())
-        throw std::invalid_argument("DeltaTable: dist not square");
+        throw std::invalid_argument("QapInstance: dist not square");
     if (n_ > nloc_)
-        throw std::invalid_argument("DeltaTable: flow exceeds dist");
+        throw std::invalid_argument("tabuSearchQap: circuit too large");
+
+    nzOff_.assign(n_ + 1, 0);
+    for (int i = 0; i < n_; ++i) {
+        const double *row = flow[i];
+        for (int j = 0; j < n_; ++j)
+            if (row[j] != 0.0) {
+                nzCol_.push_back(j);
+                nzVal_.push_back(row[j]);
+            }
+        nzOff_[i + 1] = static_cast<int>(nzCol_.size());
+    }
 
     // update() infers the stale entries from the moved facilities'
     // flow rows, which is only sound when flow is symmetric; the
     // O(1) updates additionally read dist by row where the
     // derivation says column, so they need dist symmetric too.  All
-    // of it holds for hop-distance QAPs.
-    flowSymmetric_ = isSymmetric(flow);
-    exact_ = flowSymmetric_ && isSymmetric(dist) &&
-             exactPathHolds(flow, dist);
-
-    nzOff_.assign(n_ + 1, 0);
+    // of it holds for hop-distance QAPs.  The flow side runs over
+    // the nonzeros: a zero entry is integral, adds nothing to a row
+    // sum, and its transpose is checked from the other side.
+    flowSymmetric_ = true;
+    bool integral = true;
+    double maxRowSum = 0.0;  // F
     for (int i = 0; i < n_; ++i) {
-        const double *row = flow[i];
-        int nz = 0;
-        for (int j = 0; j < n_; ++j)
-            if (row[j] != 0.0)
-                ++nz;
-        nzOff_[i + 1] = nzOff_[i] + nz;
+        double sum = 0.0;
+        for (int k = nzOff_[i]; k < nzOff_[i + 1]; ++k) {
+            int j = nzCol_[k];
+            double f = nzVal_[k];
+            if (j != i && f != flow[j][i])
+                flowSymmetric_ = false;
+            if (f != std::floor(f))
+                integral = false;
+            sum += std::fabs(f);
+        }
+        maxRowSum = std::max(maxRowSum, sum);
     }
-    nzCol_.resize(nzOff_[n_]);
-    nzVal_.resize(nzOff_[n_]);
-    for (int i = 0, k = 0; i < n_; ++i) {
-        const double *row = flow[i];
-        for (int j = 0; j < n_; ++j)
-            if (row[j] != 0.0) {
-                nzCol_[k] = j;
-                nzVal_[k] = row[j];
-                ++k;
-            }
+    if (flowSymmetric_ && integral) {
+        double maxDist = exactMaxDistance(dist);  // D; NaN fails
+        exact_ = 8.0 * maxRowSum * maxDist < 9007199254740992.0;  // 2^53
     }
+}
 
-    table_.assign(static_cast<size_t>(n_) * nloc_, 0.0);
+double
+QapInstance::cost(const std::vector<int> &perm) const
+{
+    double c = 0.0;
+    for (int i = 0; i < n_; ++i) {
+        const double *drow = (*dist_)[perm[i]];
+        for (int k = nzOff_[i]; k < nzOff_[i + 1]; ++k) {
+            int j = nzCol_[k];
+            if (j > i)
+                c += nzVal_[k] * drow[perm[j]];
+        }
+    }
+    return c;
+}
+
+DeltaTable::DeltaTable(const QapInstance &inst)
+    : dist_(&inst.dist()), n_(inst.facilities()),
+      nloc_(inst.locations()), keepMins_(inst.keepsRowMins()),
+      exact_(inst.exactArithmetic()),
+      flowSymmetric_(inst.flowSymmetric()), nzOff_(inst.nzOff()),
+      nzCol_(inst.nzCol()), nzVal_(inst.nzVal())
+{
+    table_.resize(static_cast<size_t>(n_) * nloc_);
     touched_.reserve(nloc_);
     inSet_.assign(nloc_, 0);
     g_.assign(nloc_, 0.0);
@@ -572,36 +586,33 @@ DeltaTable::correctPartnerRow(int w, int u, int v)
 
 namespace {
 
-double
-costOf(const linalg::FlatMatrix &flow, const linalg::FlatMatrix &d,
-       const std::vector<int> &perm)
+/** One worker's per-search state, allocated once and reused by every
+ * trial it runs: reset() rewrites every delta-table entry a search
+ * reads, and the tabu array is cleared per trial. */
+struct TabuWorkspace
 {
-    int n = flow.rows();
-    double c = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double *frow = flow[i];
-        const double *drow = d[perm[i]];
-        for (int j = i + 1; j < n; ++j)
-            if (frow[j] != 0.0)
-                c += frow[j] * drow[perm[j]];
+    explicit TabuWorkspace(const QapInstance &inst)
+        : deltas(inst),
+          tabu(static_cast<size_t>(inst.locations()) * inst.locations())
+    {
     }
-    return c;
-}
 
-} // namespace
+    DeltaTable deltas;
+    /** tabu[facility * nloc + location] = first iteration at which
+     * the facility may return to the location. */
+    std::vector<int> tabu;
+};
 
+/** One randomized trial on `ws`; returns the best placement seen. */
 Placement
-tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
-                    const linalg::FlatMatrix &dist,
-                    std::mt19937_64 &rng, const TabuOptions &opt)
+tabuTrial(const QapInstance &inst, TabuWorkspace &ws,
+          std::mt19937_64 &rng, const TabuOptions &opt)
 {
     core::profile::ScopedTimer prof(
         simd::profileLabel("qap.tabu"));
 
-    int n = flow.rows();
-    int nloc = dist.rows();
-    if (n > nloc)
-        throw std::invalid_argument("tabuSearchQap: circuit too large");
+    const int n = inst.facilities();
+    const int nloc = inst.locations();
 
     // Pad with dummy facilities so perm is a full permutation of the
     // device qubits.
@@ -625,19 +636,18 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     // pairs faster).  Every
     // `device_scale` instance (209-575 filled locations) is far
     // above the line.
-    DeltaTable deltas(flow, dist);
+    DeltaTable &deltas = ws.deltas;
     const bool memoize =
         deltas.memoizable() && static_cast<long>(n) * nloc >= 64;
     if (memoize)
         deltas.reset(perm);
 
-    double cost = costOf(flow, dist, perm);
+    double cost = inst.cost(perm);
     double best_cost = cost;
     std::vector<int> best_perm = perm;
 
-    // tabu[facility * nloc + location] = first iteration at which the
-    // facility may return to the location.
-    std::vector<int> tabu(static_cast<size_t>(nloc) * nloc, 0);
+    std::fill(ws.tabu.begin(), ws.tabu.end(), 0);
+    int *tabu = ws.tabu.data();
     // Clamped: tenure 0 would make moves never tabu, and a caller's
     // low/high multipliers (or a tiny device) could invert the range,
     // which is UB for uniform_int_distribution.
@@ -668,7 +678,7 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
                     break;
             }
             const double *drow = memoize ? deltas.row(a) : nullptr;
-            const int *trow = tabu.data() + a * nloc;
+            const int *trow = tabu + a * nloc;
             int pa = perm[a];
             if (drow) {
                 // Memoized row: the cannot-beat-best skip runs as a
@@ -738,6 +748,18 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     return Placement(best_perm.begin(), best_perm.begin() + n);
 }
 
+} // namespace
+
+Placement
+tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
+                    const linalg::FlatMatrix &dist,
+                    std::mt19937_64 &rng, const TabuOptions &opt)
+{
+    QapInstance inst(flow, dist);
+    TabuWorkspace ws(inst);
+    return tabuTrial(inst, ws, rng, opt);
+}
+
 Placement
 tabuSearchQap(const linalg::FlatMatrix &flow,
               const device::Topology &topo, std::mt19937_64 &rng,
@@ -756,29 +778,34 @@ bestOfTabu(const linalg::FlatMatrix &flow,
         throw std::invalid_argument("bestOfTabu: trials < 1");
 
     // Every trial runs on its own generator seeded `seed + t`, so the
-    // work partition over threads cannot influence any result.
+    // work partition over threads cannot influence any result.  The
+    // instance is analysed once and read by every worker; each worker
+    // reuses one workspace across its trials.
+    const QapInstance inst(flow, dist);
     std::vector<Placement> placements(trials);
     std::vector<double> costs(trials, 0.0);
-    auto runTrial = [&](int t) {
-        std::mt19937_64 trial_rng(seed + static_cast<std::uint64_t>(t));
-        placements[t] = tabuSearchQapMatrix(flow, dist, trial_rng, opt);
-        costs[t] = qapCostMatrix(flow, dist, placements[t]);
+    std::atomic<int> next{0};
+    auto runTrials = [&]() {
+        int t = next.fetch_add(1);
+        if (t >= trials)
+            return;
+        TabuWorkspace ws(inst);
+        for (; t < trials; t = next.fetch_add(1)) {
+            std::mt19937_64 trial_rng(seed +
+                                      static_cast<std::uint64_t>(t));
+            placements[t] = tabuTrial(inst, ws, trial_rng, opt);
+            costs[t] = inst.cost(placements[t]);
+        }
     };
 
     int workers = std::min(jobs, trials);
     if (workers <= 1) {
-        for (int t = 0; t < trials; ++t)
-            runTrial(t);
+        runTrials();
     } else {
-        std::atomic<int> next{0};
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (int w = 0; w < workers; ++w)
-            pool.emplace_back([&]() {
-                for (int t = next.fetch_add(1); t < trials;
-                     t = next.fetch_add(1))
-                    runTrial(t);
-            });
+            pool.emplace_back(runTrials);
         for (auto &th : pool)
             th.join();
     }

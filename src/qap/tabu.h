@@ -28,6 +28,11 @@
  * the scan jumps over every row whose minimum is not below the best
  * delta so far.  Such a row holds no strictly better entry, so the
  * selected move is the one a full scan picks.
+ *
+ * Setup is paid once per search, not once per trial: bestOfTabu()
+ * analyses the instance once (QapInstance: flow CSR, symmetry and
+ * exactness checks) and each worker thread reuses one DeltaTable and
+ * one tabu array across all of its trials.
  */
 
 #ifndef TQAN_QAP_TABU_H
@@ -35,6 +40,7 @@
 
 #include <cstdint>
 #include <random>
+#include <vector>
 
 #include "qap/qap.h"
 
@@ -48,6 +54,62 @@ struct TabuOptions
     int tabuHighMul = 11;
     /** Stop early after this many non-improving iterations. */
     int stallLimit = 500;
+};
+
+/**
+ * The read-only analysis of one QAP instance: the sparse flow, the
+ * distance matrix and the flags that choose the kernel's paths.
+ *
+ * Lifetime and sharing: bestOfTabu() builds one per search, before any
+ * trial starts, and every trial and worker thread then reads it
+ * through a const reference.  Construction is its only write, so
+ * concurrent readers need no lock.  `dist` must outlive the instance
+ * (it is read in place); `flow` is read only by the constructor, which
+ * copies its nonzeros.
+ *
+ * Construction makes one dense pass over flow (the CSR build) and,
+ * when the flow is symmetric and integral, one over dist, row by row;
+ * the flow checks and cost() are O(nnz(flow)).
+ */
+class QapInstance
+{
+  public:
+    /** flow is n x n, dist is nloc x nloc with n <= nloc. */
+    QapInstance(const linalg::FlatMatrix &flow,
+                const linalg::FlatMatrix &dist);
+
+    int facilities() const { return n_; }
+    int locations() const { return nloc_; }
+    const linalg::FlatMatrix &dist() const { return *dist_; }
+
+    /** CSR view of the nonzero flow: facility i's partners and flows
+     * are nzCol()/nzVal()[nzOff()[i] .. nzOff()[i+1]), partners
+     * ascending. */
+    const int *nzOff() const { return nzOff_.data(); }
+    const int *nzCol() const { return nzCol_.data(); }
+    const double *nzVal() const { return nzVal_.data(); }
+
+    /** Flow is symmetric (DeltaTable::memoizable()). */
+    bool flowSymmetric() const { return flowSymmetric_; }
+    /** The integral fast path holds (DeltaTable::exactArithmetic()). */
+    bool exactArithmetic() const { return exact_; }
+    /** n * nloc >= DeltaTable::kRowMinsFrom. */
+    bool keepsRowMins() const { return keepMins_; }
+
+    /** QAP objective of the first n entries of `perm`, summed as
+     * qapCostMatrix() does (i ascending, then j > i ascending), so
+     * the bits match it. */
+    double cost(const std::vector<int> &perm) const;
+
+  private:
+    const linalg::FlatMatrix *dist_;
+    int n_ = 0;
+    int nloc_ = 0;
+    bool flowSymmetric_ = false;
+    bool exact_ = false;
+    bool keepMins_ = false;
+    std::vector<int> nzOff_, nzCol_;
+    std::vector<double> nzVal_;
 };
 
 /**
@@ -96,10 +158,10 @@ class DeltaTable
      * grids on. */
     static constexpr long kRowMinsFrom = 8192;
 
-    /** Both matrices must outlive the table.  flow is n x n, dist is
-     * nloc x nloc with n <= nloc. */
-    DeltaTable(const linalg::FlatMatrix &flow,
-               const linalg::FlatMatrix &dist);
+    /** The instance must outlive the table.  Only reset() and
+     * update() write the table, so one table serves any number of
+     * searches over its instance in turn. */
+    explicit DeltaTable(const QapInstance &inst);
 
     /** Rebuild every entry for a new permutation (O(n*nloc*deg);
      * on the integral path row by row from the per-facility cost
@@ -155,10 +217,9 @@ class DeltaTable
     bool keepMins_ = false;  ///< n * nloc >= kRowMinsFrom
     bool exact_ = false;  ///< integral data: O(1) updates are exact
     bool flowSymmetric_ = false;
-    /** CSR view of the nonzero flow: facility i's partners and flows
-     * are nzCol_/nzVal_[nzOff_[i] .. nzOff_[i+1]). */
-    std::vector<int> nzOff_, nzCol_;
-    std::vector<double> nzVal_;
+    /** The instance's flow CSR (QapInstance::nzOff()). */
+    const int *nzOff_, *nzCol_;
+    const double *nzVal_;
     std::vector<double> table_;  ///< n_ x nloc_, entries b > a used
     std::vector<int> touched_;   ///< scratch: facilities to refresh
     std::vector<char> inSet_;    ///< scratch membership flags
@@ -226,7 +287,10 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
  * Trial t always runs on its own generator seeded `seed + t` and ties
  * are broken towards the lowest trial index, so the result is
  * bit-identical for every `jobs` value (jobs == 1 is the sequential
- * reference).
+ * reference), and equal to the best of tabuSearchQapMatrix() runs
+ * with those generators.  One QapInstance is built for the whole
+ * call and shared read-only by the workers; each worker allocates
+ * its DeltaTable and tabu array once, on its first trial.
  */
 Placement bestOfTabu(const linalg::FlatMatrix &flow,
                      const linalg::FlatMatrix &dist,

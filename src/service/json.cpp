@@ -112,6 +112,40 @@ parseString(Cursor &c)
     }
 }
 
+/** RFC 8259 number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+ * over the whole token (no leading '+', no leading zeros, a digit on
+ * both sides of the point). */
+bool
+isJsonNumber(const std::string &t)
+{
+    size_t i = 0, n = t.size();
+    auto digits = [&]() {
+        size_t from = i;
+        while (i < n && t[i] >= '0' && t[i] <= '9')
+            ++i;
+        return i > from;
+    };
+    if (i < n && t[i] == '-')
+        ++i;
+    if (i < n && t[i] == '0')
+        ++i;
+    else if (!digits())
+        return false;
+    if (i < n && t[i] == '.') {
+        ++i;
+        if (!digits())
+            return false;
+    }
+    if (i < n && (t[i] == 'e' || t[i] == 'E')) {
+        ++i;
+        if (i < n && (t[i] == '+' || t[i] == '-'))
+            ++i;
+        if (!digits())
+            return false;
+    }
+    return i == n;
+}
+
 JsonValue
 parseValue(Cursor &c)
 {
@@ -144,8 +178,9 @@ parseValue(Cursor &c)
         c.i += 4;
         return v;
     }
-    // Number token: leading '-', digits, '.', exponent.  Collect the
-    // plausible charset, then insist the whole token converts.
+    // Number token: collect the plausible charset, then insist the
+    // whole token follows the JSON grammar and converts to a finite
+    // double.
     size_t start = c.i;
     while (!c.done()) {
         char n = c.peek();
@@ -160,7 +195,7 @@ parseValue(Cursor &c)
     v.kind = JsonValue::Kind::Number;
     v.text = c.s.substr(start, c.i - start);
     double d;
-    if (!parseF64(v.text, &d))
+    if (!isJsonNumber(v.text) || !parseF64(v.text, &d))
         c.fail(start, "bad number '" + v.text + "'");
     return v;
 }

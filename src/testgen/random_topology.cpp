@@ -6,6 +6,7 @@
 
 #include "core/limits.h"
 #include "device/devices.h"
+#include "service/json.h"
 
 namespace tqan {
 namespace testgen {
@@ -92,20 +93,12 @@ topologyFromSpec(const std::string &spec)
             "topologyFromSpec: expected custom:N:edges, got '" +
             spec + "'");
     // Untrusted input (specs arrive over the service protocol too):
-    // every numeric field must be digits and nothing else.  stoi's
-    // prefix parse would accept "4junk" or " 4" silently.
-    auto parseIndex = [](const std::string &field, int *out) {
-        if (field.empty() || field.size() > 9)
-            return false;
-        for (char ch : field)
-            if (ch < '0' || ch > '9')
-                return false;
-        *out = std::stoi(field);
-        return true;
-    };
+    // every numeric field goes through the JSON codec's strict
+    // full-consumption parser, so "4junk" or " 4" fail.  It takes a
+    // leading '-', which the range checks below reject.
     constexpr int kMaxQubits = core::kMaxTopologyQubits;
     int n = 0;
-    if (!parseIndex(spec.substr(7, colon - 7), &n) || n <= 0 ||
+    if (!service::parseI32(spec.substr(7, colon - 7), &n) || n <= 0 ||
         n > kMaxQubits)
         throw std::invalid_argument(
             "topologyFromSpec: bad qubit count in '" + spec +
@@ -123,8 +116,9 @@ topologyFromSpec(const std::string &spec)
                 "topologyFromSpec: bad edge '" + tok +
                 "' (expected U-V)");
         int u = -1, v = -1;
-        if (!parseIndex(tok.substr(0, dash), &u) ||
-            !parseIndex(tok.substr(dash + 1), &v))
+        if (!service::parseI32(tok.substr(0, dash), &u) ||
+            !service::parseI32(tok.substr(dash + 1), &v) || u < 0 ||
+            v < 0)
             throw std::invalid_argument(
                 "topologyFromSpec: edge '" + tok +
                 "' is not a pair of qubit indices (expected U-V)");

@@ -89,6 +89,18 @@ TEST(TabuParallel, JobsDoNotChangeThePlacement)
                 << "seed " << seed << " jobs " << jobs;
         }
     }
+
+    // Device scale: a filled heavyhex:9, so up to four workers read
+    // one shared instance while each reuses its own delta table.
+    device::Topology hh = device::deviceByName("heavyhex:9");
+    auto big = flowMatrix(ham::nnnHeisenberg(208, rng));
+    TabuOptions opt;
+    opt.maxIters = 80;
+    Placement seq = bestOfTabu(big, hh.hopDistances(), 63, 5, opt, 1);
+    for (int jobs : {2, 4})
+        EXPECT_EQ(bestOfTabu(big, hh.hopDistances(), 63, 5, opt, jobs),
+                  seq)
+            << "heavyhex:9 jobs " << jobs;
 }
 
 TEST(TabuParallel, CompilerJobsProduceIdenticalSchedules)

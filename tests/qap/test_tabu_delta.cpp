@@ -239,7 +239,9 @@ applyAndCheck(DeltaTable &dt, const linalg::FlatMatrix &flow,
 }
 
 /** Drive a DeltaTable through `moves` random exchanges, passed to
- * update() in random order, checking it after every one. */
+ * update() in random order, checking it after every one; then reset
+ * the same table to a fresh permutation, as the next trial of a
+ * search does, and drive it again. */
 void
 checkDeltaTable(const linalg::FlatMatrix &flow,
                 const linalg::FlatMatrix &dist, std::mt19937_64 &rng,
@@ -248,25 +250,29 @@ checkDeltaTable(const linalg::FlatMatrix &flow,
     int n = flow.rows(), nloc = dist.rows();
     std::vector<int> perm(nloc);
     std::iota(perm.begin(), perm.end(), 0);
-    std::shuffle(perm.begin(), perm.end(), rng);
 
-    DeltaTable dt(flow, dist);
+    QapInstance inst(flow, dist);
+    DeltaTable dt(inst);
     EXPECT_EQ(dt.exactArithmetic(), expectExact);
-    dt.reset(perm);
-    expectExactRowMins(dt, "reset");
 
     std::uniform_int_distribution<int> pickA(0, n - 1);
     std::uniform_int_distribution<int> pickB(0, nloc - 1);
-    for (int step = 0; step < moves; ++step) {
-        int u = pickA(rng), v = pickB(rng);
-        if (u == v)
-            continue;
-        if (step % 2)
-            std::swap(u, v);
-        applyAndCheck(dt, flow, dist, perm, u, v,
-                      "move " + std::to_string(step));
-        if (::testing::Test::HasFatalFailure())
-            return;
+    for (int trial = 0; trial < 2; ++trial) {
+        std::shuffle(perm.begin(), perm.end(), rng);
+        dt.reset(perm);
+        std::string tag = "trial " + std::to_string(trial);
+        expectExactRowMins(dt, tag + " reset");
+        for (int step = 0; step < moves; ++step) {
+            int u = pickA(rng), v = pickB(rng);
+            if (u == v)
+                continue;
+            if (step % 2)
+                std::swap(u, v);
+            applyAndCheck(dt, flow, dist, perm, u, v,
+                          tag + " move " + std::to_string(step));
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
     }
 }
 
@@ -308,9 +314,9 @@ TEST(DeltaTable, MatchesBruteForceOnNoiseAwareDistances)
 TEST(DeltaTable, RejectsMalformedShapes)
 {
     linalg::FlatMatrix flow(4, 4), dist(3, 3);
-    EXPECT_THROW(DeltaTable(flow, dist), std::invalid_argument);
+    EXPECT_THROW(QapInstance(flow, dist), std::invalid_argument);
     linalg::FlatMatrix rect(3, 4);
-    EXPECT_THROW(DeltaTable(rect, dist), std::invalid_argument);
+    EXPECT_THROW(QapInstance(rect, dist), std::invalid_argument);
 }
 
 TEST(DeltaTable, LargeIntegralWeightStaysExact)
@@ -405,7 +411,8 @@ TEST(DeltaTable, DeviceScaleUpdateEdgeCases)
     std::vector<int> perm(nloc);
     std::iota(perm.begin(), perm.end(), 0);
     std::shuffle(perm.begin(), perm.end(), rng);
-    DeltaTable dt(flow, dist);
+    QapInstance inst(flow, dist);
+    DeltaTable dt(inst);
     ASSERT_TRUE(dt.exactArithmetic());
     ASSERT_NE(dt.rowMins(), nullptr);
     dt.reset(perm);
@@ -576,7 +583,8 @@ TEST(TabuBitIdentity, AsymmetricFlowFallsBackToRescan)
                 flow[i][j] = w(gen);
     auto dist = device::grid(4, 4).hopDistances();
 
-    DeltaTable dt(flow, dist);
+    QapInstance inst(flow, dist);
+    DeltaTable dt(inst);
     EXPECT_FALSE(dt.memoizable());
     EXPECT_FALSE(dt.exactArithmetic());
 
@@ -673,6 +681,56 @@ TEST(TabuBitIdentityJobs, ParallelTrialsMatchSequential)
     Placement seq = bestOfTabu(flow, dist, 4242, 5, TabuOptions(), 1);
     Placement par = bestOfTabu(flow, dist, 4242, 5, TabuOptions(), 8);
     EXPECT_EQ(seq, par);
+}
+
+TEST(TabuBitIdentityJobs, BestOfTrialsIsTheBestReferenceRun)
+{
+    // bestOfTabu reuses one delta table and tabu array per worker
+    // across trials; trial t must still be the reference run seeded
+    // seed + t, and the winner the cheapest, ties to the lower t.
+    // Cases: paper scale, noise-aware distances, and a filled
+    // heavyhex:9 (row minima kept, integral updates).
+    struct Case
+    {
+        linalg::FlatMatrix flow, dist;
+        TabuOptions opt;
+    };
+    std::mt19937_64 gen(4343);
+    std::vector<Case> cases;
+    cases.push_back({flowMatrix(ham::nnnHeisenberg(10, gen)),
+                     device::sycamore54().hopDistances(), {}});
+    device::Topology montreal = device::montreal27();
+    std::mt19937_64 nrng(gen());
+    cases.push_back(
+        {randomFlow(9, gen),
+         device::NoiseMap::synthetic(montreal, nrng)
+             .noiseAwareDistances(1.0),
+         {}});
+    TabuOptions shortRun;
+    shortRun.maxIters = 60;
+    cases.push_back({flowMatrix(ham::nnnHeisenberg(208, gen)),
+                     device::deviceByName("heavyhex:9").hopDistances(),
+                     shortRun});
+
+    for (size_t c = 0; c < cases.size(); ++c) {
+        const Case &k = cases[c];
+        std::uint64_t seed = gen();
+        Placement want;
+        double wantCost = 0.0;
+        for (int t = 0; t < 5; ++t) {
+            std::mt19937_64 r(seed + static_cast<std::uint64_t>(t));
+            Placement p = referenceTabu(k.flow, k.dist, r, k.opt);
+            double cost = qapCostMatrix(k.flow, k.dist, p);
+            if (t == 0 || cost < wantCost) {
+                want = p;
+                wantCost = cost;
+            }
+        }
+        for (int jobs : {1, 3})
+            EXPECT_EQ(bestOfTabu(k.flow, k.dist, seed, 5, k.opt, jobs),
+                      want)
+                << "case " << c << " jobs " << jobs;
+    }
 }
 
 TEST(TabuTinyDevices, ValidPlacementsFor2To4Qubits)

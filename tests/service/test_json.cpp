@@ -44,6 +44,11 @@ TEST(JsonParse, RejectsMalformedInput)
              "{\"a\":\"\\u00ff\"}",         // non-ASCII escape
              "{\"a\":1,}",
              "{a:1}",
+             "{\"a\":+1}",                 // JSON number grammar
+             "{\"a\":01}",
+             "{\"a\":.5}",
+             "{\"a\":1.}",
+             "{\"a\":-.5e+3}",
          }) {
         EXPECT_THROW(parseJsonObject(bad), std::invalid_argument)
             << "accepted: " << bad;
@@ -86,4 +91,24 @@ TEST(JsonNumbers, StrictFullConsumptionParses)
     EXPECT_FALSE(parseF64("inf", &d));
     EXPECT_FALSE(parseF64("0x1p3", &d));  // decimal spellings only
     EXPECT_FALSE(parseF64(" 1.5", &d));
+}
+
+TEST(JsonNumbers, ObjectValuesFollowTheJsonGrammar)
+{
+    // RFC 8259 section 6: the parser takes what the grammar takes and
+    // keeps the token's spelling.
+    for (const char *good :
+         {"0", "-0", "0.5", "-12.75", "1e+20", "1E-3", "7e2", "10"}) {
+        auto o = parseJsonObject(std::string("{\"a\":") + good + "}");
+        EXPECT_EQ(o.at("a").kind, JsonValue::Kind::Number) << good;
+        EXPECT_EQ(o.at("a").text, good);
+    }
+    for (const char *bad : {"+1", "01", "-01", ".5", "1.", "-.5e+3",
+                            "-", "1e", "1e+", "1.5e3.2", "--1", "1-2",
+                            "0.e1", "1E+-3"}) {
+        EXPECT_THROW(
+            parseJsonObject(std::string("{\"a\":") + bad + "}"),
+            std::invalid_argument)
+            << "accepted: " << bad;
+    }
 }

@@ -68,7 +68,7 @@ TEST(TopologySpec, RejectsBadQubitCounts)
     for (const char *bad :
          {"custom:0:", "custom:-3:", "custom:4junk:0-1",
           "custom:4.5:0-1", "custom::0-1", "custom:99999999:",
-          "custom:4"}) {
+          "custom:4", "custom:+4:0-1", "custom:99999999999:"}) {
         EXPECT_THROW(testgen::topologyFromSpec(bad),
                      std::invalid_argument)
             << "spec '" << bad << "' was accepted";
