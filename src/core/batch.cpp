@@ -11,76 +11,6 @@
 namespace tqan {
 namespace core {
 
-ThreadPool::ThreadPool(int threads)
-{
-    if (threads < 0)
-        threads = 0;
-    workers_.reserve(threads > 1 ? threads : 0);
-    for (int i = 0; i < threads && threads > 1; ++i)
-        workers_.emplace_back([this]() { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    taskReady_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    if (workers_.empty()) {
-        task();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push_back(std::move(task));
-    }
-    taskReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    if (workers_.empty())
-        return;
-    std::unique_lock<std::mutex> lock(mu_);
-    allDone_.wait(lock, [this]() {
-        return nextTask_ == queue_.size() && running_ == 0;
-    });
-    // All handed-out tasks are done; recycle the queue storage.
-    queue_.clear();
-    nextTask_ = 0;
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        taskReady_.wait(lock, [this]() {
-            return stop_ || nextTask_ < queue_.size();
-        });
-        if (stop_)
-            return;
-        std::function<void()> task =
-            std::move(queue_[nextTask_++]);
-        ++running_;
-        lock.unlock();
-        task();
-        lock.lock();
-        --running_;
-        if (nextTask_ == queue_.size() && running_ == 0)
-            allDone_.notify_all();
-    }
-}
-
 BatchCompiler::BatchCompiler(BatchOptions opt)
     : opt_(opt), pool_(new ThreadPool(opt.jobs))
 {

@@ -20,59 +20,18 @@
 #ifndef TQAN_CORE_BATCH_H
 #define TQAN_CORE_BATCH_H
 
-#include <condition_variable>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/backend.h"
 #include "core/compiler.h"
 #include "core/metrics.h"
+#include "core/thread_pool.h"
 #include "device/topology.h"
 
 namespace tqan {
 namespace core {
-
-/**
- * A persistent fixed-size worker pool.  Tasks submitted with
- * submit() run in FIFO order across the workers; wait() blocks until
- * every submitted task has finished.  With `threads <= 1` the pool
- * spawns no workers and submit() runs the task inline, so
- * single-threaded batches stay exactly sequential.
- */
-class ThreadPool
-{
-  public:
-    explicit ThreadPool(int threads);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Number of worker threads (0 = inline execution). */
-    int size() const { return static_cast<int>(workers_.size()); }
-
-    /** Enqueue one task; never blocks on task completion. */
-    void submit(std::function<void()> task);
-
-    /** Block until all submitted tasks have run to completion. */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::mutex mu_;
-    std::condition_variable taskReady_;
-    std::condition_variable allDone_;
-    std::vector<std::function<void()>> queue_;
-    size_t nextTask_ = 0;  ///< queue_ index of the next task to run
-    int running_ = 0;      ///< tasks currently executing
-    bool stop_ = false;
-    std::vector<std::thread> workers_;
-};
 
 /** One entry of a batch: which backend compiles what for which
  * device, and how the result is scored. */

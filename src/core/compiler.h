@@ -41,10 +41,13 @@ struct CompilerOptions
     /** Randomized mapping trials; the paper uses 5 and keeps the
      * best. */
     int mapperTrials = 5;
-    /** Worker threads for the randomized mapping trials.  Trials use
-     * derived seeds (seed + trial), so any jobs value produces the
-     * same placement as the sequential run. */
-    int jobs = 1;
+    /** Workers for the randomized mapping trials, on the
+     * process-wide pool with the calling thread taking part; 0 takes
+     * as many as the pool offers (hardware threads - 1, plus the
+     * caller), at most one per trial.  Trials use derived seeds
+     * (seed + trial), so any jobs value produces the same placement
+     * as the sequential run (jobs = 1). */
+    int jobs = 0;
     /** Merge same-pair Interact ops before compiling (Sec. III-C). */
     bool unifyCircuit = true;
     /** Hybrid ALAP scheduler (Alg. 2) vs. generic order-respecting

@@ -46,7 +46,7 @@ struct CompileContext
 
     std::uint64_t seed;
     std::mt19937_64 rng;  ///< shared generator for tie-breaking
-    int jobs = 1;         ///< worker threads for parallel stages
+    int jobs = 0;         ///< trial workers (CompilerOptions::jobs)
 
     /** Optional calibration data: when set, distances() yields the
      * noise-aware matrix instead of hop counts. */

@@ -84,6 +84,18 @@ class ScopedTimer
             t0_ = std::chrono::steady_clock::now();
     }
 
+    /** Times the scope under label(base), resolving the name only
+     * when profiling is on (label interns or builds it, as
+     * simd::profileLabel does; off, nothing is called). */
+    ScopedTimer(const char *(*label)(const char *), const char *base)
+        : name_(nullptr), active_(enabled())
+    {
+        if (active_) {
+            name_ = label(base);
+            t0_ = std::chrono::steady_clock::now();
+        }
+    }
+
     ~ScopedTimer()
     {
         if (active_)

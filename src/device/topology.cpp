@@ -1,5 +1,6 @@
 #include "device/topology.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -51,6 +52,10 @@ Topology::buildHopDistances() const
                         queue[tail++] = w;
                     }
             }
+            // BFS dequeues in distance order: the last vertex is the
+            // farthest from s.
+            c.diameter = std::max(c.diameter,
+                                  static_cast<int>(row[queue[tail - 1]]));
         }
         c.matrix = std::move(d);
         c.ready.store(&c.matrix, std::memory_order_release);

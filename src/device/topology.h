@@ -75,6 +75,17 @@ class Topology
         return buildHopDistances();
     }
 
+    /** Largest hop distance (the coupling graph's diameter), found
+     * by the BFS that builds hopDistances().  With it the matrix's
+     * distance-side facts are known without a scan: every entry is a
+     * non-negative integer, the matrix is symmetric (the coupling
+     * graph is undirected and connected) and its diagonal is zero. */
+    int hopDiameter() const
+    {
+        hopDistances();
+        return hops_->diameter;
+    }
+
   private:
     /** The lazily built hop matrix, one per family of copies. */
     struct HopCache
@@ -82,6 +93,7 @@ class Topology
         std::once_flag once;
         std::atomic<const linalg::FlatMatrix *> ready{nullptr};
         linalg::FlatMatrix matrix;
+        int diameter = 0;  ///< written before `ready` is published
     };
 
     const linalg::FlatMatrix &buildHopDistances() const;

@@ -15,8 +15,13 @@ class TabuMapper : public Mapper
     std::string name() const override { return "tabu"; }
     Placement map(const MapperRequest &req) const override
     {
-        return bestOfTabu(flowMatrixOf(*req.circuit), *req.dist,
-                          req.seed, req.trials, req.tabu, req.jobs);
+        linalg::FlatMatrix flow = flowMatrixOf(*req.circuit);
+        // The hop matrix's distance-side facts come with the topology.
+        if (req.topo && req.dist == &req.topo->hopDistances())
+            return bestOfTabu(flow, *req.topo, req.seed, req.trials,
+                              req.tabu, req.jobs);
+        return bestOfTabu(flow, *req.dist, req.seed, req.trials,
+                          req.tabu, req.jobs);
     }
 };
 

@@ -43,7 +43,7 @@ struct MapperRequest
     const linalg::FlatMatrix *dist = nullptr;
     std::uint64_t seed = 0;
     int trials = 5;  ///< randomized-mapping restarts (paper: 5)
-    int jobs = 1;    ///< worker threads for the trials
+    int jobs = 0;    ///< trial workers (0: the pool's; bestOfTabu)
     TabuOptions tabu;
 };
 

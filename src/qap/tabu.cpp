@@ -6,9 +6,9 @@
 #include <limits>
 #include <stdexcept>
 #include <numeric>
-#include <thread>
 
 #include "core/profile.h"
+#include "core/thread_pool.h"
 #include "simd/dispatch.h"
 
 namespace tqan {
@@ -99,13 +99,12 @@ lower(double m, double x)
     return x < m ? x : m;
 }
 
-/** Largest |d| when the distance side of the integral path holds
- * (block comment above): symmetric integral entries and a zero
- * diagonal; NaN otherwise.  One pass, row by row.  NaN fails
- * integrality; an infinite distance fails the caller's bound. */
+} // namespace
+
 double
 exactMaxDistance(const linalg::FlatMatrix &dist)
 {
+    // One pass, row by row.  NaN fails integrality.
     const double fail = std::numeric_limits<double>::quiet_NaN();
     double maxDist = 0.0;
     for (int i = 0; i < dist.rows(); ++i) {
@@ -121,8 +120,6 @@ exactMaxDistance(const linalg::FlatMatrix &dist)
     }
     return maxDist;
 }
-
-} // namespace
 
 /** The column writes of one untouched row, collected so that its
  * minimum is settled once after all of them (settleRowMin). */
@@ -142,6 +139,18 @@ struct DeltaTable::ColumnWrites
 
 QapInstance::QapInstance(const linalg::FlatMatrix &flow,
                          const linalg::FlatMatrix &dist)
+    : QapInstance(flow, dist, -1.0)
+{
+}
+
+QapInstance::QapInstance(const linalg::FlatMatrix &flow,
+                         const device::Topology &topo)
+    : QapInstance(flow, topo.hopDistances(), topo.hopDiameter())
+{
+}
+
+QapInstance::QapInstance(const linalg::FlatMatrix &flow,
+                         const linalg::FlatMatrix &dist, double maxDist)
     : dist_(&dist), n_(flow.rows()), nloc_(dist.rows()),
       keepMins_(static_cast<long>(n_) * nloc_ >=
                 DeltaTable::kRowMinsFrom)
@@ -188,7 +197,8 @@ QapInstance::QapInstance(const linalg::FlatMatrix &flow,
         maxRowSum = std::max(maxRowSum, sum);
     }
     if (flowSymmetric_ && integral) {
-        double maxDist = exactMaxDistance(dist);  // D; NaN fails
+        if (maxDist < 0.0)
+            maxDist = exactMaxDistance(dist);  // D; NaN fails
         exact_ = 8.0 * maxRowSum * maxDist < 9007199254740992.0;  // 2^53
     }
 }
@@ -586,9 +596,10 @@ DeltaTable::correctPartnerRow(int w, int u, int v)
 
 namespace {
 
-/** One worker's per-search state, allocated once and reused by every
- * trial it runs: reset() rewrites every delta-table entry a search
- * reads, and the tabu array is cleared per trial. */
+/** One worker slot's per-search state, allocated by the caller and
+ * reused by every trial the slot runs: reset() rewrites every
+ * delta-table entry a search reads, and the tabu array is cleared per
+ * trial. */
 struct TabuWorkspace
 {
     explicit TabuWorkspace(const QapInstance &inst)
@@ -600,7 +611,7 @@ struct TabuWorkspace
     DeltaTable deltas;
     /** tabu[facility * nloc + location] = first iteration at which
      * the facility may return to the location. */
-    std::vector<int> tabu;
+    std::vector<int, core::MappedAllocator<int>> tabu;
 };
 
 /** One randomized trial on `ws`; returns the best placement seen. */
@@ -608,8 +619,7 @@ Placement
 tabuTrial(const QapInstance &inst, TabuWorkspace &ws,
           std::mt19937_64 &rng, const TabuOptions &opt)
 {
-    core::profile::ScopedTimer prof(
-        simd::profileLabel("qap.tabu"));
+    core::profile::ScopedTimer prof(simd::profileLabel, "qap.tabu");
 
     const int n = inst.facilities();
     const int nloc = inst.locations();
@@ -748,6 +758,50 @@ tabuTrial(const QapInstance &inst, TabuWorkspace &ws,
     return Placement(best_perm.begin(), best_perm.begin() + n);
 }
 
+/** Best of `trials` trials on `inst` (bestOfTabu()). */
+Placement
+bestOfTrials(const QapInstance &inst, std::uint64_t seed, int trials,
+             const TabuOptions &opt, int jobs)
+{
+    if (trials < 1)
+        throw std::invalid_argument("bestOfTabu: trials < 1");
+
+    core::ThreadPool &pool = core::ThreadPool::shared();
+    int workers = std::min(pool.size() + 1, trials);
+    if (jobs > 0)
+        workers = std::min(workers, jobs);
+    // As few slots as finish in the same number of rounds.
+    const int rounds = (trials + workers - 1) / workers;
+    const int slots = (trials + rounds - 1) / rounds;
+
+    // Every trial runs on its own generator seeded `seed + t`, so the
+    // work partition over slots cannot influence any result.  The
+    // workspaces are allocated here, on the calling thread, and freed
+    // after the join (see the tabu.h file comment for why).
+    std::vector<TabuWorkspace> spaces;
+    spaces.reserve(slots);
+    for (int w = 0; w < slots; ++w)
+        spaces.emplace_back(inst);
+    std::vector<Placement> placements(trials);
+    std::vector<double> costs(trials, 0.0);
+    std::atomic<int> next{0};
+    pool.forkJoin(slots, [&](int slot) {
+        for (int t; (t = next.fetch_add(1)) < trials;) {
+            std::mt19937_64 trial_rng(seed +
+                                      static_cast<std::uint64_t>(t));
+            placements[t] = tabuTrial(inst, spaces[slot], trial_rng, opt);
+            costs[t] = inst.cost(placements[t]);
+        }
+    });
+
+    // Reduce sequentially; ties break towards the lowest trial index.
+    int best = 0;
+    for (int t = 1; t < trials; ++t)
+        if (costs[t] < costs[best])
+            best = t;
+    return placements[best];
+}
+
 } // namespace
 
 Placement
@@ -765,7 +819,9 @@ tabuSearchQap(const linalg::FlatMatrix &flow,
               const device::Topology &topo, std::mt19937_64 &rng,
               const TabuOptions &opt)
 {
-    return tabuSearchQapMatrix(flow, topo.hopDistances(), rng, opt);
+    QapInstance inst(flow, topo);
+    TabuWorkspace ws(inst);
+    return tabuTrial(inst, ws, rng, opt);
 }
 
 Placement
@@ -774,48 +830,8 @@ bestOfTabu(const linalg::FlatMatrix &flow,
            std::uint64_t seed, int trials, const TabuOptions &opt,
            int jobs)
 {
-    if (trials < 1)
-        throw std::invalid_argument("bestOfTabu: trials < 1");
-
-    // Every trial runs on its own generator seeded `seed + t`, so the
-    // work partition over threads cannot influence any result.  The
-    // instance is analysed once and read by every worker; each worker
-    // reuses one workspace across its trials.
-    const QapInstance inst(flow, dist);
-    std::vector<Placement> placements(trials);
-    std::vector<double> costs(trials, 0.0);
-    std::atomic<int> next{0};
-    auto runTrials = [&]() {
-        int t = next.fetch_add(1);
-        if (t >= trials)
-            return;
-        TabuWorkspace ws(inst);
-        for (; t < trials; t = next.fetch_add(1)) {
-            std::mt19937_64 trial_rng(seed +
-                                      static_cast<std::uint64_t>(t));
-            placements[t] = tabuTrial(inst, ws, trial_rng, opt);
-            costs[t] = inst.cost(placements[t]);
-        }
-    };
-
-    int workers = std::min(jobs, trials);
-    if (workers <= 1) {
-        runTrials();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back(runTrials);
-        for (auto &th : pool)
-            th.join();
-    }
-
-    // Reduce sequentially; ties break towards the lowest trial index.
-    int best = 0;
-    for (int t = 1; t < trials; ++t)
-        if (costs[t] < costs[best])
-            best = t;
-    return placements[best];
+    return bestOfTrials(QapInstance(flow, dist), seed, trials, opt,
+                        jobs);
 }
 
 Placement
@@ -823,8 +839,8 @@ bestOfTabu(const linalg::FlatMatrix &flow,
            const device::Topology &topo, std::uint64_t seed,
            int trials, const TabuOptions &opt, int jobs)
 {
-    return bestOfTabu(flow, topo.hopDistances(), seed, trials, opt,
-                      jobs);
+    return bestOfTrials(QapInstance(flow, topo), seed, trials, opt,
+                        jobs);
 }
 
 } // namespace qap

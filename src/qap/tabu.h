@@ -31,8 +31,22 @@
  *
  * Setup is paid once per search, not once per trial: bestOfTabu()
  * analyses the instance once (QapInstance: flow CSR, symmetry and
- * exactness checks) and each worker thread reuses one DeltaTable and
- * one tabu array across all of its trials.
+ * exactness checks; for a topology's hop matrix the distance side
+ * comes from Topology::hopDiameter() instead of a scan).
+ *
+ * The trials run in parallel on core::ThreadPool::shared(), the
+ * process-wide pool, with the calling thread taking part.  The caller
+ * allocates one TabuWorkspace (DeltaTable and tabu array) per worker
+ * slot before dispatch and frees them after the join; each slot
+ * reuses its workspace across the trials it runs.  Allocating on the
+ * caller, and mapping the two large buffers
+ * (core::MappedAllocator), keeps peak memory flat: when each worker
+ * thread allocated its own workspace, glibc's per-thread malloc
+ * arenas kept the freed tables (peak RSS on the `device_scale`
+ * benchmark rose from 46.6 to about 65 MiB, and MALLOC_ARENA_MAX=1
+ * removed the excess); with several compiles forking trials at once
+ * (the `service` benchmark), each caller's arena kept its slots'
+ * tables until they were mapped.
  */
 
 #ifndef TQAN_QAP_TABU_H
@@ -42,6 +56,7 @@
 #include <random>
 #include <vector>
 
+#include "core/mapped_allocator.h"
 #include "qap/qap.h"
 
 namespace tqan {
@@ -55,6 +70,14 @@ struct TabuOptions
     /** Stop early after this many non-improving iterations. */
     int stallLimit = 500;
 };
+
+/**
+ * The distance side of the integral path's test, one pass row by
+ * row: the largest |d| when every entry is an integer, the matrix is
+ * symmetric and its diagonal zero; NaN otherwise.  (An infinite
+ * distance passes here and fails the caller's 2^53 bound.)
+ */
+double exactMaxDistance(const linalg::FlatMatrix &dist);
 
 /**
  * The read-only analysis of one QAP instance: the sparse flow, the
@@ -77,6 +100,12 @@ class QapInstance
     /** flow is n x n, dist is nloc x nloc with n <= nloc. */
     QapInstance(const linalg::FlatMatrix &flow,
                 const linalg::FlatMatrix &dist);
+
+    /** Against the topology's hop matrix, whose distance side of the
+     * exactness test is known from Topology::hopDiameter(), so the
+     * O(nloc^2) scan of exactMaxDistance() is skipped. */
+    QapInstance(const linalg::FlatMatrix &flow,
+                const device::Topology &topo);
 
     int facilities() const { return n_; }
     int locations() const { return nloc_; }
@@ -102,6 +131,10 @@ class QapInstance
     double cost(const std::vector<int> &perm) const;
 
   private:
+    /** maxDist >= 0 is exactMaxDistance(dist), known; < 0 scans. */
+    QapInstance(const linalg::FlatMatrix &flow,
+                const linalg::FlatMatrix &dist, double maxDist);
+
     const linalg::FlatMatrix *dist_;
     int n_ = 0;
     int nloc_ = 0;
@@ -220,7 +253,10 @@ class DeltaTable
     /** The instance's flow CSR (QapInstance::nzOff()). */
     const int *nzOff_, *nzCol_;
     const double *nzVal_;
-    std::vector<double> table_;  ///< n_ x nloc_, entries b > a used
+    /** n_ x nloc_, entries b > a used; mapped, like the tabu array,
+     * so a concurrent search's table leaves no malloc arena holding
+     * its memory (core/mapped_allocator.h). */
+    std::vector<double, core::MappedAllocator<double>> table_;
     std::vector<int> touched_;   ///< scratch: facilities to refresh
     std::vector<char> inSet_;    ///< scratch membership flags
     std::vector<double> g_;      ///< scratch: flow-difference column
@@ -282,29 +318,35 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
 /**
  * Best-of-trials against an arbitrary location-distance matrix (the
  * hop matrix, or device::NoiseMap's noise-aware distances), with the
- * trials distributed over up to `jobs` worker threads.
+ * trials distributed over up to `jobs` workers of
+ * core::ThreadPool::shared(), the calling thread included.  `jobs`
+ * 0 (the default) takes as many as the pool offers; either way at
+ * most one per trial, and only as many as the trials need: a worker
+ * count that finishes in the same number of rounds as more workers
+ * would (5 trials: 3 workers, not 4).
  *
  * Trial t always runs on its own generator seeded `seed + t` and ties
  * are broken towards the lowest trial index, so the result is
  * bit-identical for every `jobs` value (jobs == 1 is the sequential
  * reference), and equal to the best of tabuSearchQapMatrix() runs
  * with those generators.  One QapInstance is built for the whole
- * call and shared read-only by the workers; each worker allocates
- * its DeltaTable and tabu array once, on its first trial.
+ * call and shared read-only by the workers; the caller allocates one
+ * workspace per worker slot.  An exception from a trial is rethrown
+ * here once the other trials have finished.
  */
 Placement bestOfTabu(const linalg::FlatMatrix &flow,
                      const linalg::FlatMatrix &dist,
                      std::uint64_t seed, int trials = 5,
                      const TabuOptions &opt = TabuOptions(),
-                     int jobs = 1);
+                     int jobs = 0);
 
-/** Hop-distance convenience wrapper of the deterministic parallel
- * best-of-trials. */
+/** Hop-distance form: the same search against topo.hopDistances(),
+ * with the distance-side facts taken from the topology. */
 Placement bestOfTabu(const linalg::FlatMatrix &flow,
                      const device::Topology &topo, std::uint64_t seed,
                      int trials = 5,
                      const TabuOptions &opt = TabuOptions(),
-                     int jobs = 1);
+                     int jobs = 0);
 
 } // namespace qap
 } // namespace tqan

@@ -75,19 +75,22 @@ keyHex(std::uint64_t key)
     return buf;
 }
 
-/** Every CompilerOptions field, exactly once, in a fixed order.
- * tests/service/test_cache_key.cpp asserts (a) mutating any field
- * changes the key and (b) the struct layout is the one this list
- * was written for — adding a CompilerOptions field without
- * extending this function fails loudly there. */
+/** Every CompilerOptions field that can change an output, exactly
+ * once, in a fixed order.  `jobs` is left out: trial workers never
+ * change a placement, and keying on a machine-dependent default
+ * would split one compile across cache entries.
+ * tests/service/test_cache_key.cpp asserts (a) mutating any other
+ * field changes the key, (b) mutating jobs does not, and (c) the
+ * struct layout is the one this list was written for — adding a
+ * CompilerOptions field without extending this function fails
+ * loudly there. */
 void
 appendCanonicalOptions(std::string &s,
                        const core::CompilerOptions &o, int nqubits)
 {
-    s += "options-v2\n";
+    s += "options-v3\n";
     s += "mapper=" + o.mapper + "\n";
     s += "mapper_trials=" + std::to_string(o.mapperTrials) + "\n";
-    s += "jobs=" + std::to_string(o.jobs) + "\n";
     s += "unify_circuit=" + std::to_string(o.unifyCircuit ? 1 : 0) +
          "\n";
     s += "hybrid_schedule=" +
@@ -321,7 +324,7 @@ CompileService::parseCompileRequest(const JsonObject &obj)
     core::CompilerOptions &o = req.options;
     o.seed = u64Field(obj, "seed", o.seed);
     o.mapperTrials = intField(obj, "trials", o.mapperTrials, 1);
-    o.jobs = intField(obj, "jobs", o.jobs, 1);
+    o.jobs = intField(obj, "jobs", o.jobs, 0);
     o.mapper = stringField(obj, "mapper", o.mapper);
     qap::mapperByName(o.mapper);  // reject unknowns up front
     o.router.name = stringField(obj, "router", o.router.name);

@@ -20,7 +20,7 @@
  *    plain xor is not enough), so noisyExpectationZZ fans whole
  *    shots out over the same pool.
  *
- * The pool is core/batch.h's ThreadPool: with `jobs <= 1` it spawns
+ * The pool is a core::ThreadPool of its own: with `jobs <= 1` it spawns
  * no workers and submit() runs inline, so an Engine(1) is exactly the
  * serial simulator.  One Engine must not be used from inside its own
  * tasks (ThreadPool::wait() on a worker deadlocks); the trajectory
@@ -34,7 +34,7 @@
 #include <functional>
 #include <memory>
 
-#include "core/batch.h"
+#include "core/thread_pool.h"
 #include "linalg/matrix.h"
 
 namespace tqan {

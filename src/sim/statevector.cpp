@@ -340,8 +340,8 @@ Statevector::applyCircuit(const qcir::Circuit &c)
 {
     if (c.numQubits() > n_)
         throw std::invalid_argument("applyCircuit: register too big");
-    core::profile::ScopedTimer timer(
-        simd::profileLabel("sim.applyCircuit"));
+    core::profile::ScopedTimer timer(simd::profileLabel,
+                                     "sim.applyCircuit");
     GateStream gs(*this);
     for (const auto &op : c.ops())
         gs.add(op);
@@ -400,8 +400,8 @@ double
 Statevector::expectationZZ(
     const std::vector<graph::Edge> &edges) const
 {
-    core::profile::ScopedTimer timer(
-        simd::profileLabel("sim.expectationZZ"));
+    core::profile::ScopedTimer timer(simd::profileLabel,
+                                     "sim.expectationZZ");
     std::vector<std::uint64_t> masks;
     masks.reserve(edges.size());
     for (const auto &[u, v] : edges)

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <random>
 
 #include "core/batch.h"
@@ -48,29 +47,6 @@ csvRows(const std::vector<core::SweepRow> &rows)
 }
 
 } // namespace
-
-TEST(ThreadPool, RunsEveryTaskAcrossWaitCycles)
-{
-    core::ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count]() { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), 50 * (round + 1));
-    }
-}
-
-TEST(ThreadPool, SingleThreadedRunsInline)
-{
-    core::ThreadPool pool(1);
-    EXPECT_EQ(pool.size(), 0);  // no workers: submit() runs inline
-    int count = 0;
-    pool.submit([&count]() { ++count; });
-    EXPECT_EQ(count, 1);
-    pool.wait();
-}
 
 TEST(BatchCompiler, SameSweepIdenticalForJobs1And8)
 {
@@ -146,4 +122,35 @@ TEST(BatchCompiler, PerJobFailuresStayContained)
               std::string::npos);
     EXPECT_FALSE(results[1].ok());
     EXPECT_TRUE(results[2].ok()) << results[2].error;
+}
+
+TEST(BatchCompiler, NestedDefaultTrialWorkersMatchSequential)
+{
+    // Three batch workers whose 2qan compiles fork their mapping
+    // trials onto the shared pool at once (the default jobs) give the
+    // schedules of one worker running every trial in turn.
+    core::SweepSpec spec = smallSpec();
+    spec.backends = {"2qan"};
+    spec.sizes = {8, 12};
+    spec.devices = {{"grid:4x4", ""}, {"heavyhex:3", ""}};
+    core::ExpandedSweep seqJobs = core::expandSweep(spec);
+    core::ExpandedSweep parJobs = core::expandSweep(spec);
+    ASSERT_FALSE(seqJobs.jobs.empty());
+    for (auto &j : seqJobs.jobs)
+        j.job.options.jobs = 1;
+    for (auto &j : parJobs.jobs)
+        j.job.options.jobs = core::CompilerOptions().jobs;
+
+    auto seq = BatchCompiler({1}).run(seqJobs.jobs);
+    auto par = BatchCompiler({3}).run(parJobs.jobs);
+    ASSERT_EQ(seq.size(), par.size());
+    for (size_t i = 0; i < seq.size(); ++i) {
+        SCOPED_TRACE(seq[i].tag);
+        ASSERT_TRUE(seq[i].ok()) << seq[i].error;
+        ASSERT_TRUE(par[i].ok()) << par[i].error;
+        EXPECT_EQ(seq[i].result.placement, par[i].result.placement);
+        EXPECT_EQ(seq[i].result.sched.deviceCircuit.str(),
+                  par[i].result.sched.deviceCircuit.str());
+        EXPECT_EQ(seq[i].metrics.swaps, par[i].metrics.swaps);
+    }
 }

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "core/compiler.h"
 #include "device/devices.h"
 #include "ham/models.h"
@@ -101,6 +108,48 @@ TEST(TabuParallel, JobsDoNotChangeThePlacement)
         EXPECT_EQ(bestOfTabu(big, hh.hopDistances(), 63, 5, opt, jobs),
                   seq)
             << "heavyhex:9 jobs " << jobs;
+}
+
+TEST(TabuParallel, ForkedChildFinishesWithTheSequentialPlacement)
+{
+    // Pool threads do not survive fork(): a child (the campaign
+    // runner's process mode) asking for four trial workers must run
+    // the trials itself rather than wait for workers that are gone.
+    std::mt19937_64 rng(91);
+    device::Topology hh = device::deviceByName("heavyhex:9");
+    auto flow = flowMatrix(ham::nnnHeisenberg(208, rng));
+    TabuOptions opt;
+    opt.maxIters = 80;
+    const Placement seq = bestOfTabu(flow, hh, 92, 5, opt, 1);
+    // The pool has started and run trials before the fork.
+    ASSERT_EQ(bestOfTabu(flow, hh, 92, 5, opt, 4), seq);
+
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        int code = 2;
+        try {
+            code = bestOfTabu(flow, hh, 92, 5, opt, 4) == seq ? 0 : 1;
+        } catch (...) {
+        }
+        _exit(code);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    int status = 0;
+    pid_t done = 0;
+    while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (done == 0) {
+        kill(pid, SIGKILL);
+        waitpid(pid, &status, 0);
+        FAIL() << "forked child still running after 60 s";
+    }
+    ASSERT_EQ(done, pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: placement differs from jobs = 1; 2: exception";
 }
 
 TEST(TabuParallel, CompilerJobsProduceIdenticalSchedules)

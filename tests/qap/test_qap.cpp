@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+#include <stdexcept>
+
 #include "device/devices.h"
 #include "ham/models.h"
 #include "qap/anneal.h"
 #include "qap/placement.h"
 #include "qap/tabu.h"
+#include "testgen/random_topology.h"
 
 using namespace tqan;
 using namespace tqan::qap;
@@ -141,4 +146,53 @@ TEST(Placement, IdentityAndRandom)
     Placement r = randomPlacement(5, 9, rng);
     EXPECT_TRUE(placementIsValid(r, 9));
     EXPECT_THROW(randomPlacement(10, 5, rng), std::invalid_argument);
+}
+
+TEST(QapInstance, HopDiameterDecidesExactnessLikeTheScan)
+{
+    // Against a topology the distance side of the exactness test is
+    // Topology::hopDiameter() instead of an O(N^2) scan; the integral
+    // path's decision must be the scan's on every built-in device,
+    // also for flows whose 8 F D sits right at the 2^53 bound.
+    for (const char *spec :
+         {"montreal", "sycamore", "aspen", "manhattan", "line:2",
+          "line:9", "ring:10", "grid:4x7", "heavyhex:3", "heavyhex:9"}) {
+        SCOPED_TRACE(spec);
+        device::Topology topo = device::deviceByName(spec);
+        const linalg::FlatMatrix &hops = topo.hopDistances();
+        const double d = exactMaxDistance(hops);
+        ASSERT_FALSE(std::isnan(d));
+        EXPECT_EQ(topo.hopDiameter(), d);
+
+        const int n = std::min(topo.numQubits(), 12);
+        std::mt19937_64 rng(7);
+        linalg::FlatMatrix counts(n, n);
+        std::uniform_int_distribution<int> pick(0, n - 1);
+        for (int k = 0; k < 2 * n; ++k) {
+            int i = pick(rng), j = pick(rng);
+            if (i != j) {
+                counts[i][j] += 1.0;
+                counts[j][i] += 1.0;
+            }
+        }
+        // One pair of weight w: F = w, exact iff 8 w D < 2^53.
+        const double edge = std::ceil(9007199254740992.0 / (8.0 * d));
+        std::vector<linalg::FlatMatrix> flows = {counts};
+        for (double w : {edge - 1.0, edge, 0.5}) {
+            linalg::FlatMatrix f(n, n);
+            f[0][1] = f[1][0] = w;
+            flows.push_back(f);
+        }
+        for (size_t k = 0; k < flows.size(); ++k)
+            EXPECT_EQ(QapInstance(flows[k], topo).exactArithmetic(),
+                      QapInstance(flows[k], hops).exactArithmetic())
+                << "flow " << k;
+        EXPECT_TRUE(QapInstance(flows[1], topo).exactArithmetic());
+        EXPECT_FALSE(QapInstance(flows[2], topo).exactArithmetic());
+    }
+    // A disconnected coupling graph never gets a hop matrix (it
+    // would need an "unreachable" entry), so no such matrix can reach
+    // the topology path.
+    EXPECT_THROW(testgen::topologyFromSpec("custom:4:0-1,2-3"),
+                 std::invalid_argument);
 }

@@ -79,8 +79,10 @@ printHelp(std::FILE *out)
         "  --help            show this help and exit\n"
         "\n"
         "2qan-pipeline options (rejected for other backends):\n"
-        "  --jobs N          worker threads for the mapper trials;\n"
-        "                    results are identical for every N\n"
+        "  --jobs N          workers for the mapper trials (default\n"
+        "                    0: one per hardware thread, at most one\n"
+        "                    per trial); results are identical for\n"
+        "                    every N\n"
         "  --mapper M        placement strategy: %s\n"
         "  --router R        routing strategy: %s\n"
         "                    (default greedy)\n"
@@ -121,7 +123,7 @@ main(int argc, char **argv)
                 router = "greedy", pipeline = "2qan";
     double t = 1.0;
     std::uint64_t seed = 7;
-    int jobs = 1, trials = 5;
+    int jobs = core::CompilerOptions().jobs, trials = 5;
     bool noise_aware = false, no_unify = false,
          generic_sched = false, qasm = false, profile = false;
     /** 2QAN-only options the user set explicitly, so selecting a
@@ -159,7 +161,7 @@ main(int argc, char **argv)
                 if (!service::parseU64(next(), &seed))
                     throw bad();
             } else if (a == "--jobs") {
-                if (!service::parseI32(next(), &jobs))
+                if (!service::parseI32(next(), &jobs) || jobs < 0)
                     throw bad();
                 tqan_only.push_back(a);
             } else if (a == "--mapper") {
