@@ -4,13 +4,14 @@
  *
  * The paper's results are sweeps: every figure and table compiles
  * many (benchmark x device x backend x option) combinations.  A
- * BatchCompiler executes such a batch on a persistent thread pool and
- * returns one scored result per job, in job order.
+ * BatchCompiler executes such a batch as one forkJoin on the shared
+ * pool (core/thread_pool.h), `jobs` capping its slots, and returns
+ * one scored result per job, in job order.
  *
  * Determinism contract (the `--jobs` convention of the mapper
  * trials, lifted to whole compilations): every job carries its own
  * seed in `job.options.seed` and compiles on a private RNG, so the
- * results are bit-identical for any pool size and any submission
+ * results are bit-identical for any `jobs` value and any job
  * order.  Shared state is read-only; the one exception, each
  * topology's hop-distance matrix, is built exactly once by whichever
  * worker first needs it (the c-blosc2 rule — one context per thread,
@@ -20,14 +21,12 @@
 #ifndef TQAN_CORE_BATCH_H
 #define TQAN_CORE_BATCH_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/backend.h"
 #include "core/compiler.h"
 #include "core/metrics.h"
-#include "core/thread_pool.h"
 #include "device/topology.h"
 
 namespace tqan {
@@ -68,17 +67,19 @@ struct BatchJobResult
 
 struct BatchOptions
 {
-    /** Worker threads compiling jobs concurrently.  Results are
-     * bit-identical for every value (each job owns its seed). */
+    /** Most jobs compiled at once, on threads of the shared pool
+     * (the calling thread included); never more than the hardware
+     * threads.  Results are bit-identical for every value (each job
+     * owns its seed). */
     int jobs = 1;
 };
 
 /**
  * Executes batches of compilation jobs.
  *
- * The pool persists across run() calls, so a long-lived
- * BatchCompiler amortizes thread start-up over many sweeps.  Jobs
- * targeting the same Topology object share its hop-distance matrix.
+ * Owns no threads: constructing one is free, and every call may
+ * come from any thread, concurrently.  Jobs targeting the same
+ * Topology object share its hop-distance matrix.
  *
  * @code
  *   BatchCompiler bc({8});
@@ -94,20 +95,21 @@ class BatchCompiler
     const BatchOptions &options() const { return opt_; }
 
     /**
-     * Compile every job; results come back in job order.  A job that
-     * throws (unknown backend, missing inputs) yields a result with
-     * a non-empty `error` instead of aborting the batch.
+     * Compile every job with runOne(); results come back in job
+     * order.  A job that throws (unknown backend, missing inputs)
+     * yields a result with a non-empty `error` instead of aborting
+     * the batch.  Fault probe: batch.dispatch, once per job.
      */
     std::vector<BatchJobResult> run(
         const std::vector<BatchJob> &jobs) const;
 
-    /** Compile a single job through the pool (the CompileService's
-     * synchronous cold path).  Same error convention as run(). */
+    /** Compile and score a single job on the calling thread (the
+     * CompileService's synchronous cold path and every campaign
+     * shard).  Same error convention as run(). */
     BatchJobResult runOne(const BatchJob &job) const;
 
   private:
     BatchOptions opt_;
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace core

@@ -697,47 +697,15 @@ expandSweep(const SweepSpec &spec)
 
 namespace {
 
-/**
- * Compile one grid job on the calling thread — the campaign-shard
- * equivalent of the BatchCompiler worker body in core/batch.cpp
- * (same seed, same profile record), so a sharded sweep scores
- * identically to a batch run.  BatchCompiler::runOne() is NOT safe
- * from concurrent campaign workers (ThreadPool::wait() is global).
- */
-BatchJobResult
-compileJobDirect(const BatchJob &bj)
-{
-    using Clock = std::chrono::steady_clock;
-    BatchJobResult out;
-    out.backend = bj.backend;
-    out.tag = bj.tag;
-    try {
-        if (!bj.topo)
-            throw std::invalid_argument("sweep job.topo is null");
-        const CompilerBackend &backend = backendByName(bj.backend);
-        auto t0 = Clock::now();
-        out.result = backend.compile(bj.job, *bj.topo);
-        out.seconds =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        if (profile::enabled())
-            profile::record("backend." + bj.backend, out.seconds);
-        if (bj.job.step)
-            out.metrics = backend.metrics(out.result, *bj.job.step,
-                                          bj.gateset);
-    } catch (const std::exception &e) {
-        out.error = e.what();
-    }
-    return out;
-}
-
 /** Compile + (optionally) verify one grid row in place.  A backend
  * error lands in row->error — a scored failure row, not a shard
  * failure; shard failures (retry, quarantine) are reserved for
  * infrastructure faults. */
 void
-scoreSweepShard(const BatchJob &bj, bool verifyRow, SweepRow *row)
+scoreSweepShard(const BatchCompiler &bc, const BatchJob &bj,
+                bool verifyRow, SweepRow *row)
 {
-    BatchJobResult res = compileJobDirect(bj);
+    BatchJobResult res = bc.runOne(bj);
     row->metrics = res.metrics;
     row->seconds = res.seconds;
     row->mappingSeconds = res.result.mappingSeconds;
@@ -830,12 +798,12 @@ runSweepCampaign(const SweepSpec &spec, const BatchCompiler &bc,
 
     robust::CampaignResult camp = robust::runCampaign(
         ex.jobs.size(),
-        [&ex, &spec](std::uint64_t shard, int) {
+        [&bc, &ex, &spec](std::uint64_t shard, int) {
             if (robust::faultPoint("sweep.shard"))
                 throw std::runtime_error(
                     "injected fault: sweep.shard");
             SweepRow row = ex.rows[shard];
-            scoreSweepShard(ex.jobs[shard], spec.verify, &row);
+            scoreSweepShard(bc, ex.jobs[shard], spec.verify, &row);
             return toJson(row);
         },
         co);
@@ -1137,8 +1105,9 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
         // Shard = one job: warm it up un-timed, then time `repeat`
         // compiles and reduce to one row.  `suffix` labels the
         // scalar-pinned second phase of simdPairedCompile.
-        auto compileShard = [&ex, &opt](std::uint64_t shard,
-                                        const std::string &suffix) {
+        auto compileShard = [&bc, &ex, &opt](
+                                std::uint64_t shard,
+                                const std::string &suffix) {
             const BatchJob &bj = ex.jobs[shard];
             const SweepRow &meta = ex.rows[shard];
             BenchRow b;
@@ -1149,14 +1118,14 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
             b.nqubits = meta.nqubits;
             b.instance = meta.instance;
             for (int w = 0; w < opt.warmup; ++w)
-                compileJobDirect(bj);
+                bc.runOne(bj);
             std::vector<double> secs, mapping, routing, scheduling;
             // Compiled-circuit quality (identical across repeats;
             // the clock is the only thing that varies).
             CompilationMetrics quality;
             bool haveQuality = false;
             for (int r = 0; r < opt.repeat; ++r) {
-                BatchJobResult res = compileJobDirect(bj);
+                BatchJobResult res = bc.runOne(bj);
                 if (!res.ok()) {
                     b.error = res.error;
                     continue;
@@ -1241,10 +1210,9 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
             BenchRow b = simBenchMeta(c);
             std::vector<double> secs;
             try {
-                // Workload and engine are built once: the timed
-                // window covers only the simulation (state
-                // allocation, gates, reduction), not graph/circuit
-                // generation or thread-pool spawn.
+                // The workload is built once: the timed window
+                // covers only the simulation (state allocation,
+                // gates, reduction), not graph/circuit generation.
                 const SimWorkload w = prepareSimCase(c, spec.seed);
                 std::unique_ptr<simd::ScopedForceIsa> force;
                 if (c.forceScalar)

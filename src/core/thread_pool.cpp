@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <utility>
 
 #include <pthread.h>
 
@@ -54,15 +53,10 @@ struct ThreadPool::Join
     std::vector<std::exception_ptr> errors;  ///< one per slot
 };
 
-ThreadPool::ThreadPool(int threads)
-    : ThreadPool(threads > 1 ? threads : 0, Exact{})
-{
-}
-
-ThreadPool::ThreadPool(int workers, Exact)
+ThreadPool::ThreadPool(int workers)
     : generation_(forkGeneration.load())
 {
-    workers_.reserve(workers);
+    workers_.reserve(std::max(0, workers));
     for (int i = 0; i < workers; ++i)
         workers_.emplace_back([this]() { workerLoop(); });
 }
@@ -73,7 +67,7 @@ ThreadPool::~ThreadPool()
         std::lock_guard<std::mutex> lock(mu_);
         stop_ = true;
     }
-    taskReady_.notify_all();
+    ticketReady_.notify_all();
     for (auto &w : workers_)
         w.join();
 }
@@ -88,8 +82,7 @@ ThreadPool::shared()
             ? std::max(0, static_cast<int>(
                               std::thread::hardware_concurrency()) -
                               1)
-            : 0,
-        Exact{});
+            : 0);
     return *pool;
 }
 
@@ -102,44 +95,20 @@ ThreadPool::size() const
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
-{
-    if (size() == 0) {
-        task();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push_back(Task{std::move(task)});
-    }
-    taskReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    if (size() == 0)
-        return;
-    std::unique_lock<std::mutex> lock(mu_);
-    allDone_.wait(lock,
-                  [this]() { return queue_.empty() && running_ == 0; });
-}
-
-void
-ThreadPool::forkJoin(int slots, const std::function<void(int)> &body)
+ThreadPool::forkJoin(int slots, const std::function<void(int)> &body,
+                     int width)
 {
     if (slots <= 0)
         return;
     Join join(slots, body);
-    const int tickets = std::min(slots - 1, size());
+    const int tickets = std::min({slots, width, size() + 1}) - 1;
     if (tickets > 0) {
         {
             std::lock_guard<std::mutex> lock(mu_);
-            for (int i = 0; i < tickets; ++i)
-                queue_.push_back(Task{nullptr, &join});
+            tickets_.insert(tickets_.end(), tickets, &join);
         }
         for (int i = 0; i < tickets; ++i)
-            taskReady_.notify_one();
+            ticketReady_.notify_one();
     }
     join.runSlots();
     if (tickets > 0) {
@@ -147,14 +116,10 @@ ThreadPool::forkJoin(int slots, const std::function<void(int)> &body)
         // popped invites no one; withdraw it and wait only for the
         // workers already inside.
         std::unique_lock<std::mutex> lock(mu_);
-        queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                                    [&join](const Task &t) {
-                                        return t.join == &join;
-                                    }),
-                     queue_.end());
+        tickets_.erase(
+            std::remove(tickets_.begin(), tickets_.end(), &join),
+            tickets_.end());
         joined_.wait(lock, [&join]() { return join.workers == 0; });
-        if (queue_.empty() && running_ == 0)
-            allDone_.notify_all();
     }
     for (const std::exception_ptr &e : join.errors)
         if (e)
@@ -166,28 +131,20 @@ ThreadPool::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        taskReady_.wait(lock,
-                        [this]() { return stop_ || !queue_.empty(); });
+        ticketReady_.wait(lock,
+                          [this]() { return stop_ || !tickets_.empty(); });
         if (stop_)
             return;
-        Task task = std::move(queue_.front());
-        queue_.pop_front();
-        ++running_;
-        if (task.join)
-            ++task.join->workers;
+        Join *join = tickets_.front();
+        tickets_.pop_front();
+        ++join->workers;
         lock.unlock();
-        if (task.join)
-            task.join->runSlots();
-        else
-            task.fn();
+        join->runSlots();
         lock.lock();
-        --running_;
         // The caller may return as soon as it sees zero workers, so
         // the join is not touched after the decrement.
-        if (task.join && --task.join->workers == 0)
+        if (--join->workers == 0)
             joined_.notify_all();
-        if (queue_.empty() && running_ == 0)
-            allDone_.notify_all();
     }
 }
 

@@ -93,7 +93,7 @@ const std::vector<std::string> &
 faultSiteNames()
 {
     static const std::vector<std::string> names = {
-        "batch.dispatch",  // BatchCompiler worker, per job
+        "batch.dispatch",  // BatchCompiler::run, per job
         "cache.append",    // CompileCache append (fail = torn write)
         "cache.fsync",     // CompileCache append fsync
         "cache.lookup",    // CompileCache lookup (fail = forced miss)

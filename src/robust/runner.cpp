@@ -22,6 +22,7 @@
 
 #include "core/hash.h"
 #include "core/profile.h"
+#include "core/thread_pool.h"
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
 #include "robust/io.h"
@@ -215,7 +216,7 @@ popReadyLocked(CampaignState &st, Attempt *out, bool *haveFuture,
 }
 
 /** One pool worker: pop, run, record, until every shard resolves.
- * Runs on the calling thread (worker 0) and on each extra thread. */
+ * Runs in every forkJoin slot of runPool(). */
 void
 workerLoop(CampaignState &st)
 {
@@ -257,39 +258,27 @@ workerLoop(CampaignState &st)
     }
 }
 
-void
-recordPoolError(CampaignState &st)
-{
-    std::lock_guard<std::mutex> lock(st.mu);
-    if (!st.poolError)
-        st.poolError = std::current_exception();
-    st.cv.notify_all();
-}
-
-/** Pool worker entry point: nothing may escape a thread. */
+/** One in-process worker, run in a forkJoin slot.  An error outside
+ * a shard stops every worker (one of them may have died holding an
+ * attempt the rest would wait for) and runPool rethrows it. */
 void
 poolThread(CampaignState &st)
 {
     try {
         workerLoop(st);
     } catch (...) {
-        recordPoolError(st);
+        std::lock_guard<std::mutex> lock(st.mu);
+        if (!st.poolError)
+            st.poolError = std::current_exception();
+        st.cv.notify_all();
     }
 }
 
 void
 runPool(CampaignState &st)
 {
-    std::vector<std::thread> extra;
-    try {
-        for (int i = 1; i < st.opt.workers; ++i)
-            extra.emplace_back(poolThread, std::ref(st));
-    } catch (...) {
-        recordPoolError(st); // could not start a thread
-    }
-    poolThread(st); // the calling thread is worker 0
-    for (auto &t : extra)
-        t.join();
+    core::ThreadPool::shared().forkJoin(std::max(1, st.opt.workers),
+                                        [&st](int) { poolThread(st); });
     if (st.poolError)
         std::rethrow_exception(st.poolError);
 }

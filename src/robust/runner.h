@@ -9,9 +9,10 @@
  * in which order shards finished, or how many times the campaign was
  * killed and resumed:
  *
- *  - in-process mode runs shards on a pool of `workers` threads
- *    pulling from one queue: the calling thread plus workers - 1
- *    more, all joined before runCampaign returns;
+ *  - in-process mode runs `workers` forkJoin slots on the shared
+ *    pool (core/thread_pool.h), each pulling shards from one queue:
+ *    the calling thread plus up to workers - 1 pool threads, all
+ *    done before runCampaign returns;
  *  - process mode (processes > 0) forks one worker process per shard
  *    attempt, so a crash costs the attempt, not the campaign, and a
  *    child that outlives the shard deadline is SIGKILLed.  Deadlines
@@ -46,9 +47,10 @@ namespace robust {
 
 struct CampaignOptions
 {
-    /** In-process worker threads, counting the calling thread: 1
-     * (or less) runs every shard on the caller with no thread
-     * spawned.  Ignored in process mode. */
+    /** Most in-process workers, counting the calling thread; the
+     * others are shared-pool threads, so never more than the
+     * hardware threads run.  1 (or less) runs every shard on the
+     * caller.  Ignored in process mode. */
     int workers = 1;
     /** > 0: fork one worker process per shard attempt, at most this
      * many concurrently.  A child that crashes (signal, _exit) costs

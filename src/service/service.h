@@ -39,9 +39,10 @@
  * serve() is the daemon loop: a bounded admission queue (overflow
  * is rejected immediately), per-request deadlines (a request that
  * waited past its deadline is expired, not compiled), cache hits
- * answered at admission time, misses funneled through the
- * BatchCompiler pool in arrival order, responses always in request
- * order, graceful drain on EOF or a {"type":"shutdown"} request.
+ * answered at admission time, misses compiled in arrival order as
+ * BatchCompiler batches on the shared pool, responses always in
+ * request order, graceful drain on EOF or a {"type":"shutdown"}
+ * request.
  * Hit rate, queue depth and p50/p99 latency are served by a
  * {"type":"stats"} request and mirrored into core/profile scopes
  * (service.*).
@@ -70,7 +71,9 @@ namespace service {
 
 struct ServiceOptions
 {
-    /** BatchCompiler pool width; also the per-dispatch batch size. */
+    /** Most misses compiled at once (the BatchCompiler's `jobs`,
+     * capping its slots on the one shared pool); also the
+     * per-dispatch batch size. */
     int jobs = 1;
     /** Persist the cache here ("" = in-memory only). */
     std::string cachePath;
@@ -145,8 +148,8 @@ class CompileService
      * responses to `out` in request order, until EOF or a shutdown
      * request; drains the queue before returning.  Cache hits,
      * stats, rejections and parse errors are answered at admission
-     * time; misses flow through the bounded queue into the
-     * BatchCompiler pool.
+     * time; misses flow through the bounded queue into
+     * BatchCompiler batches.
      */
     void serve(std::istream &in, std::ostream &out);
 

@@ -4,13 +4,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/thread_pool.h"
+
 namespace tqan {
 namespace sim {
 
-Engine::Engine(int jobs)
-    : jobs_(std::max(1, jobs)), pool_(new core::ThreadPool(jobs_))
-{
-}
+Engine::Engine(int jobs) : jobs_(std::max(1, jobs)) {}
 
 namespace {
 
@@ -29,16 +28,17 @@ Engine::forBlocks(
     const
 {
     const std::uint64_t nblocks = blockCount(count);
-    if (pool_->size() <= 1 || nblocks < 2) {
+    if (jobs_ <= 1 || nblocks < 2) {
         sim::forBlocks(nullptr, count, fn);
         return;
     }
-    for (std::uint64_t b = 0; b < nblocks; ++b) {
-        const std::uint64_t lo = b * kBlockSize;
-        const std::uint64_t hi = std::min(count, lo + kBlockSize);
-        pool_->submit([&fn, lo, hi]() { fn(lo, hi); });
-    }
-    pool_->wait();
+    core::ThreadPool::shared().forkJoin(
+        static_cast<int>(nblocks),
+        [&fn, count](int b) {
+            const std::uint64_t lo = std::uint64_t(b) * kBlockSize;
+            fn(lo, std::min(count, lo + kBlockSize));
+        },
+        jobs_);
 }
 
 double
@@ -48,17 +48,12 @@ Engine::sumBlocks(
     const
 {
     const std::uint64_t nblocks = blockCount(count);
-    if (pool_->size() <= 1 || nblocks < 2)
+    if (jobs_ <= 1 || nblocks < 2)
         return sim::sumBlocks(nullptr, count, fn);
     std::vector<double> part(nblocks, 0.0);
-    for (std::uint64_t b = 0; b < nblocks; ++b) {
-        const std::uint64_t lo = b * kBlockSize;
-        const std::uint64_t hi = std::min(count, lo + kBlockSize);
-        pool_->submit([&fn, &part, b, lo, hi]() {
-            part[b] = fn(lo, hi);
-        });
-    }
-    pool_->wait();
+    forBlocks(count, [&fn, &part](std::uint64_t lo, std::uint64_t hi) {
+        part[lo / kBlockSize] = fn(lo, hi);
+    });
     double s = 0.0;
     for (double p : part)
         s += p;
@@ -72,17 +67,12 @@ Engine::sumBlocksCx(
         &fn) const
 {
     const std::uint64_t nblocks = blockCount(count);
-    if (pool_->size() <= 1 || nblocks < 2)
+    if (jobs_ <= 1 || nblocks < 2)
         return sim::sumBlocksCx(nullptr, count, fn);
     std::vector<linalg::Cx> part(nblocks, linalg::Cx(0.0, 0.0));
-    for (std::uint64_t b = 0; b < nblocks; ++b) {
-        const std::uint64_t lo = b * kBlockSize;
-        const std::uint64_t hi = std::min(count, lo + kBlockSize);
-        pool_->submit([&fn, &part, b, lo, hi]() {
-            part[b] = fn(lo, hi);
-        });
-    }
-    pool_->wait();
+    forBlocks(count, [&fn, &part](std::uint64_t lo, std::uint64_t hi) {
+        part[lo / kBlockSize] = fn(lo, hi);
+    });
     linalg::Cx s(0.0, 0.0);
     for (const linalg::Cx &p : part)
         s += p;

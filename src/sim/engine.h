@@ -1,30 +1,31 @@
 /**
  * @file
- * Simulation execution engine: a worker pool plus the fixed block
- * decomposition every parallel simulator operation runs on.
+ * Simulation execution engine: the fixed block decomposition every
+ * parallel simulator operation runs on, fanned out over the shared
+ * pool (core/thread_pool.h).
  *
  * Two kinds of parallelism (paper-scale fidelity evaluation needs
  * both):
  *
  *  - Block parallelism: a gate kernel or reduction splits its index
  *    space into fixed-size blocks of disjoint amplitudes and runs
- *    them on the pool.  The block grid depends only on the problem
- *    size — never on the worker count — and reductions combine the
- *    per-block partial sums in block order, so every result is
- *    bit-identical for any `jobs` value (the per-amplitude arithmetic
- *    is the same; only which thread executes a block changes).
+ *    them as forkJoin slots.  The block grid depends only on the
+ *    problem size — never on the worker count — and reductions
+ *    combine the per-block partial sums in block order, so every
+ *    result is bit-identical for any `jobs` value (the per-amplitude
+ *    arithmetic is the same; only which thread executes a block
+ *    changes).
  *
  *  - Shot parallelism: noisy trajectories are independent given
  *    their per-shot derived seeds (golden-ratio strided,
  *    `seed ^ (shot * 0x9E3779B97F4A7C15)` — see noise.cpp for why
  *    plain xor is not enough), so noisyExpectationZZ fans whole
- *    shots out over the same pool.
+ *    shots out the same way.
  *
- * The pool is a core::ThreadPool of its own: with `jobs <= 1` it spawns
- * no workers and submit() runs inline, so an Engine(1) is exactly the
- * serial simulator.  One Engine must not be used from inside its own
- * tasks (ThreadPool::wait() on a worker deadlocks); the trajectory
- * runner therefore keeps the per-shot statevectors serial.
+ * `jobs` caps the threads one operation occupies; an Engine owns no
+ * threads, so Engine(1) is exactly the serial simulator and any
+ * Engine may be used from any thread, concurrently, and from inside
+ * a forkJoin slot.
  */
 
 #ifndef TQAN_SIM_ENGINE_H
@@ -32,9 +33,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
-#include "core/thread_pool.h"
 #include "linalg/matrix.h"
 
 namespace tqan {
@@ -47,25 +46,22 @@ namespace sim {
 constexpr std::uint64_t kBlockSize = std::uint64_t(1) << 14;
 
 /**
- * Owns the worker pool the simulator parallelizes on.  Pass one to
- * Statevector for block-parallel kernels/reductions, or to
- * noisyExpectationZZ for shot-parallel trajectories.  Results never
- * depend on `jobs`.
+ * How widely the simulator parallelizes.  Pass one to Statevector
+ * for block-parallel kernels/reductions, or to noisyExpectationZZ
+ * for shot-parallel trajectories.  Results never depend on `jobs`.
  */
 class Engine
 {
   public:
     explicit Engine(int jobs = 1);
 
-    /** Worker threads (1 = inline/serial execution). */
+    /** Most threads one operation runs on, the caller included
+     * (1 = serial execution). */
     int jobs() const { return jobs_; }
-
-    /** The underlying pool, for whole-task fan-out (shots). */
-    core::ThreadPool &pool() const { return *pool_; }
 
     /**
      * Run fn(begin, end) over [0, count) split into kBlockSize
-     * blocks.  Blocks run concurrently when workers exist; fn must
+     * blocks.  Blocks run concurrently when jobs() > 1; fn must
      * only touch state disjoint across blocks.
      */
     void forBlocks(
@@ -91,7 +87,6 @@ class Engine
 
   private:
     int jobs_;
-    std::unique_ptr<core::ThreadPool> pool_;
 };
 
 /** @name Nullable-engine helpers.

@@ -1,11 +1,10 @@
 #include "sim/noise.h"
 
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
 #include "core/profile.h"
+#include "core/thread_pool.h"
 #include "sim/engine.h"
 
 namespace tqan {
@@ -80,45 +79,25 @@ noisyExpectationZZ(const qcir::Circuit &c, int numQubits,
     core::profile::ScopedTimer timer("sim.trajectories");
 
     // Shots are independent given their derived seeds, so they fan
-    // out over the pool as whole tasks; per-shot statevectors stay
-    // serial (an Engine must not be re-entered from its own tasks).
+    // out as whole forkJoin slots; per-shot statevectors stay serial.
+    // A failing shot surfaces as on the serial path: the lowest
+    // failing shot's exception is rethrown.
     // Per-shot derived seeds, golden-ratio strided: a plain
     // `seed ^ shot` would hand adjacent batch seeds the *same set*
     // of shot seeds in a different order (xor only permutes the low
     // bits), and the shot-order sum would come out identical.
     constexpr std::uint64_t kShotStride = 0x9E3779B97F4A7C15ull;
     std::vector<double> perShot(shots, 0.0);
-    auto runShot = [&](int s) {
-        std::mt19937_64 rng(seed ^
-                            (static_cast<std::uint64_t>(s) *
-                             kShotStride));
-        Statevector psi(numQubits);
-        runNoisyTrajectory(psi, c, nm, rng);
-        perShot[s] = psi.expectationZZ(edges);
-    };
-    if (eng && eng->jobs() > 1) {
-        // Pool workers must not leak exceptions (ThreadPool would
-        // std::terminate); capture the first one and rethrow here
-        // so a failed shot surfaces like it does serially.
-        std::mutex errMu;
-        std::exception_ptr firstErr;
-        for (int s = 0; s < shots; ++s)
-            eng->pool().submit([&runShot, &errMu, &firstErr, s]() {
-                try {
-                    runShot(s);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(errMu);
-                    if (!firstErr)
-                        firstErr = std::current_exception();
-                }
-            });
-        eng->pool().wait();
-        if (firstErr)
-            std::rethrow_exception(firstErr);
-    } else {
-        for (int s = 0; s < shots; ++s)
-            runShot(s);
-    }
+    core::ThreadPool::shared().forkJoin(
+        shots,
+        [&](int s) {
+            std::mt19937_64 rng(seed ^ (static_cast<std::uint64_t>(s) *
+                                        kShotStride));
+            Statevector psi(numQubits);
+            runNoisyTrajectory(psi, c, nm, rng);
+            perShot[s] = psi.expectationZZ(edges);
+        },
+        eng ? eng->jobs() : 1);
 
     // Shot-order summation: identical for every worker count.
     double acc = 0.0;

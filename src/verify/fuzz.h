@@ -65,7 +65,7 @@ struct FuzzOptions
     bool shrink = true;
     /** Mutation-campaign attempts per verified case; 0 = off. */
     int mutationsPerCase = 0;
-    /** Supervision: scenario-parallel worker threads
+    /** Supervision: most scenario-parallel workers
      * (`campaign.workers`; results independent of the value),
      * checkpoint/resume, forked worker processes with a per-shard
      * deadline, retry budget.  `campaign.configTag` is derived from

@@ -1,19 +1,24 @@
 /**
  * @file
  * Property tests for the batch compilation engine: results are
- * bit-identical for any thread count and any job submission order,
- * per-job failures stay contained, and the per-topology distance
- * memo hands every job the same matrix.
+ * bit-identical for any `jobs` value and any job submission order,
+ * per-job failures stay contained, the per-topology distance memo
+ * hands every job the same matrix, concurrent runOne() calls match
+ * sequential ones, and no `jobs` value starts a thread of its own.
  */
 
 #include <gtest/gtest.h>
+
+#include <dirent.h>
 
 #include <algorithm>
 #include <random>
 
 #include "core/batch.h"
 #include "core/sweep.h"
+#include "core/thread_pool.h"
 #include "device/devices.h"
+#include "sim/engine.h"
 
 using namespace tqan;
 using core::BatchCompiler;
@@ -44,6 +49,41 @@ csvRows(const std::vector<core::SweepRow> &rows)
     for (const auto &r : rows)
         out.push_back(core::toCsv(r));
     return out;
+}
+
+/** Threads of this process (entries of /proc/self/task), or -1 when
+ * /proc is not mounted. */
+int
+threadCount()
+{
+    DIR *dir = opendir("/proc/self/task");
+    if (!dir)
+        return -1;
+    int n = 0;
+    while (const dirent *e = readdir(dir))
+        if (e->d_name[0] != '.')
+            ++n;
+    closedir(dir);
+    return n;
+}
+
+void
+expectSameResults(const std::vector<BatchJobResult> &a,
+                  const std::vector<BatchJobResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(a[i].tag);
+        ASSERT_TRUE(a[i].ok()) << a[i].error;
+        ASSERT_TRUE(b[i].ok()) << b[i].error;
+        EXPECT_EQ(a[i].tag, b[i].tag);
+        EXPECT_EQ(a[i].result.placement, b[i].result.placement);
+        EXPECT_EQ(a[i].result.sched.deviceCircuit.str(),
+                  b[i].result.sched.deviceCircuit.str());
+        EXPECT_EQ(a[i].metrics.swaps, b[i].metrics.swaps);
+        EXPECT_EQ(a[i].metrics.native2q, b[i].metrics.native2q);
+        EXPECT_EQ(a[i].metrics.depth2q, b[i].metrics.depth2q);
+    }
 }
 
 } // namespace
@@ -153,4 +193,46 @@ TEST(BatchCompiler, NestedDefaultTrialWorkersMatchSequential)
                   par[i].result.sched.deviceCircuit.str());
         EXPECT_EQ(seq[i].metrics.swaps, par[i].metrics.swaps);
     }
+}
+
+TEST(BatchCompiler, WideJobsStartNoThreadAndMatchOneJob)
+{
+    // `jobs` only caps the slots one batch takes on the shared pool:
+    // constructing a 64-wide BatchCompiler or Engine starts nothing,
+    // a run starts no thread beyond the shared pool's, and the
+    // results equal jobs = 1 job by job.  The pool is started first,
+    // so `before` also holds any helper thread a sanitizer runtime
+    // starts with the first pthread_create.
+    core::ThreadPool::shared();
+    const int before = threadCount();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/task is not available";
+    BatchCompiler wide({64});
+    sim::Engine eng(64);
+    EXPECT_EQ(threadCount(), before);
+    EXPECT_EQ(eng.jobs(), 64);
+
+    core::ExpandedSweep ex = core::expandSweep(smallSpec());
+    std::vector<BatchJobResult> par = wide.run(ex.jobs);
+    EXPECT_EQ(threadCount(), before);
+    expectSameResults(BatchCompiler({1}).run(ex.jobs), par);
+}
+
+TEST(BatchCompiler, ConcurrentRunOneMatchesSequential)
+{
+    // runOne() from several forkJoin slots at once, each slot taking
+    // every fourth job, gives what one caller gets in turn.
+    core::ExpandedSweep ex = core::expandSweep(smallSpec());
+    BatchCompiler bc({2});
+    std::vector<BatchJobResult> seq;
+    for (const BatchJob &j : ex.jobs)
+        seq.push_back(bc.runOne(j));
+
+    const int slots = 4;
+    std::vector<BatchJobResult> par(ex.jobs.size());
+    core::ThreadPool::shared().forkJoin(slots, [&](int s) {
+        for (size_t i = s; i < ex.jobs.size(); i += slots)
+            par[i] = bc.runOne(ex.jobs[i]);
+    });
+    expectSameResults(seq, par);
 }

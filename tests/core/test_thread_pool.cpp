@@ -1,15 +1,24 @@
 /**
  * @file
- * The worker pool: submit()/wait() batches, and forkJoin(), whose
- * caller runs slots itself, takes back every slot no worker has
- * started, and rethrows a slot's exception once the rest are done.
+ * The worker pool's forkJoin(): its caller runs slots itself, takes
+ * back every slot no worker has started, rethrows a slot's exception
+ * once the rest are done, caps its threads at `width`, and in a
+ * forked child runs every slot alone.
  */
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,29 +26,6 @@
 
 using namespace tqan;
 using core::ThreadPool;
-
-TEST(ThreadPool, RunsEveryTaskAcrossWaitCycles)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count]() { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), 50 * (round + 1));
-    }
-}
-
-TEST(ThreadPool, SingleThreadedRunsInline)
-{
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.size(), 0);  // no workers: submit() runs inline
-    int count = 0;
-    pool.submit([&count]() { ++count; });
-    EXPECT_EQ(count, 1);
-    pool.wait();
-}
 
 TEST(ThreadPool, SharedPoolLeavesOneHardwareThreadToTheCaller)
 {
@@ -63,19 +49,22 @@ TEST(ThreadPool, ForkJoinRunsEverySlotExactlyOnce)
 
 TEST(ThreadPool, ForkJoinCallerTakesBackSlotsNoWorkerStarted)
 {
-    // Both workers are held by submitted tasks, so no worker can
-    // start a slot: the caller must run all of them and return
-    // without waiting for the workers.
+    // A forkJoin from a second thread holds both workers (each of its
+    // three slots blocks, so every thread inside runs exactly one),
+    // so no worker can start a slot of the call below: the caller
+    // must run all of them and return without waiting for the
+    // workers.
     ThreadPool pool(2);
     std::atomic<int> holding{0};
     std::atomic<bool> release{false};
-    for (int i = 0; i < 2; ++i)
-        pool.submit([&]() {
+    std::thread holder([&]() {
+        pool.forkJoin(3, [&](int) {
             ++holding;
             while (!release.load())
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
         });
-    while (holding.load() < 2)
+    });
+    while (holding.load() < 3)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     std::vector<std::thread::id> ranOn(4);
@@ -86,7 +75,83 @@ TEST(ThreadPool, ForkJoinCallerTakesBackSlotsNoWorkerStarted)
         EXPECT_EQ(id, std::this_thread::get_id());
 
     release = true;
-    pool.wait();
+    holder.join();
+}
+
+TEST(ThreadPool, ForkJoinWidthCapsTheThreads)
+{
+    // `width` bounds the threads inside one call, the caller
+    // included; width 1 (and below) runs every slot on the caller.
+    ThreadPool pool(3);
+    for (int width : {-1, 0, 1, 2, 3}) {
+        std::mutex mu;
+        std::set<std::thread::id> threads;
+        std::atomic<int> inside{0}, most{0};
+        pool.forkJoin(
+            12,
+            [&](int) {
+                const int now = ++inside;
+                for (int m = most.load(); now > m;)
+                    most.compare_exchange_weak(m, now);
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                --inside;
+                std::lock_guard<std::mutex> lock(mu);
+                threads.insert(std::this_thread::get_id());
+            },
+            width);
+        SCOPED_TRACE(width);
+        EXPECT_LE(most.load(), std::max(1, width));
+        EXPECT_LE(static_cast<int>(threads.size()), std::max(1, width));
+        if (width <= 1) {
+            EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
+        }
+    }
+}
+
+TEST(ThreadPool, ForkedChildRunsEverySlotOnItsOwnThread)
+{
+    // Pool threads do not survive fork(): in a child forked after
+    // the shared pool started, the pool reports no workers and a
+    // forkJoin runs every slot on the child's calling thread instead
+    // of waiting for workers that are gone.
+    ThreadPool &pool = ThreadPool::shared();
+    std::atomic<int> warm{0};
+    pool.forkJoin(4, [&warm](int) { ++warm; });
+    ASSERT_EQ(warm.load(), 4);
+
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        int code = 0;
+        if (ThreadPool::shared().size() != 0)
+            code = 1;
+        const std::thread::id self = std::this_thread::get_id();
+        std::vector<std::thread::id> ranOn(4);
+        ThreadPool::shared().forkJoin(4, [&ranOn](int s) {
+            ranOn[s] = std::this_thread::get_id();
+        });
+        for (const std::thread::id &id : ranOn)
+            if (id != self)
+                code = 2;
+        _exit(code);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    int status = 0;
+    pid_t done = 0;
+    while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (done == 0) {
+        kill(pid, SIGKILL);
+        waitpid(pid, &status, 0);
+        FAIL() << "forked child still running after 60 s";
+    }
+    ASSERT_EQ(done, pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: the child's pool reports workers; 2: a slot ran on "
+           "another thread";
 }
 
 TEST(ThreadPool, ForkJoinRethrowsOnceTheOtherSlotsFinish)

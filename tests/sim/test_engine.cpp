@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "core/sweep.h"
 #include "graph/random_graph.h"
@@ -77,6 +79,31 @@ TEST(Engine, TrajectoriesBitIdenticalAcrossJobs)
         noisyExpectationZZ(c, 8, g.edges(), nm, 24, 7, &eng2);
     EXPECT_EQ(serial, par8);
     EXPECT_EQ(serial, par2);
+}
+
+TEST(Engine, FailingShotThrowsLikeTheSerialPath)
+{
+    // A circuit wider than the register fails every shot inside
+    // runNoisyTrajectory; fanned out over four jobs, the lowest
+    // failing shot's exception surfaces, with the serial path's type
+    // and text.
+    graph::Graph g(1, {});
+    Circuit c = qaoaCircuit(8, 1, 99, g);
+    NoiseModel nm = montrealNoise();
+    auto failure = [&](const Engine *eng) -> std::string {
+        try {
+            noisyExpectationZZ(c, 6, g.edges(), nm, 16, 7, eng);
+        } catch (const std::invalid_argument &e) {
+            return e.what();
+        } catch (...) {
+            return "unexpected exception type";
+        }
+        return "no exception";
+    };
+    Engine eng(4);
+    const std::string serial = failure(nullptr);
+    EXPECT_EQ(serial, "runNoisyTrajectory: register too big");
+    EXPECT_EQ(failure(&eng), serial);
 }
 
 TEST(Engine, TrajectoriesReproduciblePerSeed)

@@ -62,8 +62,9 @@ printHelp(std::FILE *out)
         "options:\n"
         "  --iterations N    scenarios to draw (default 100)\n"
         "  --seed S          base seed (default $TQAN_FUZZ_SEED or 1)\n"
-        "  --jobs N          scenario-parallel workers (default 1;\n"
-        "                    results identical for any value)\n"
+        "  --jobs N          most scenarios checked at once, on one\n"
+        "                    shared pool (default 1; results\n"
+        "                    identical for any value)\n"
         "  --backends CSV    comma-separated backend subset\n"
         "                    (default: all registered)\n"
         "  --max-qubits N    circuit-size ceiling (default 9)\n"

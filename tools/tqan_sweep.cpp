@@ -3,8 +3,8 @@
  * tqan-sweep -- batch sweep runner.
  *
  * Expands a declarative sweep spec (or a built-in preset) into a
- * batch of compilation jobs, runs them on the BatchCompiler thread
- * pool and prints one CSV/JSON row per job.  The paper's whole
+ * batch of compilation jobs, runs them on the shared thread pool
+ * (--jobs caps the slots) and prints one CSV/JSON row per job.  The paper's whole
  * result grid reproduces with one command:
  *
  *   tqan-sweep --preset table1_table2 --jobs 8 --tables
@@ -80,9 +80,10 @@ printHelp(std::FILE *out)
         "       tqan-sweep --preset NAME [options]\n"
         "\n"
         "Expand a sweep spec into (benchmark x size x instance x\n"
-        "device x backend) compilation jobs, run them on a thread\n"
-        "pool and print one row per job.  Rows are bit-identical\n"
-        "for every --jobs value.\n"
+        "device x backend) compilation jobs, run them on one\n"
+        "shared thread pool (--jobs caps the slots) and print one\n"
+        "row per job.  Rows are bit-identical for every --jobs\n"
+        "value.\n"
         "\n"
         "options:\n"
         "  --preset NAME     built-in sweep: %s\n"
@@ -90,7 +91,8 @@ printHelp(std::FILE *out)
         "                    core router (%s); overrides the spec's\n"
         "                    `router =` line.  Backends that pin a\n"
         "                    router (2qan_rrr) are unaffected\n"
-        "  --jobs N          batch worker threads (default 1)\n"
+        "  --jobs N          most jobs compiled at once, on one\n"
+        "                    shared pool (default 1)\n"
         "  --format F        csv | json (default csv)\n"
         "  --tables          also print the Table I/II aggregate\n"
         "                    grid (each baseline vs 2qan)\n"

@@ -4,7 +4,7 @@
  *
  * Reads one JSON compile request per line, writes one JSON response
  * per line in request order, and keeps a content-addressed compile
- * cache in front of the BatchCompiler pool; with --cache PATH the
+ * cache in front of the BatchCompiler; with --cache PATH the
  * cache persists across restarts.  See src/service/service.h for the
  * protocol and README "Compile service" for examples.
  *
@@ -39,7 +39,8 @@ printHelp(std::FILE *out)
         "compile | stats | shutdown.\n"
         "\n"
         "options:\n"
-        "  --jobs N          BatchCompiler pool width (default 1)\n"
+        "  --jobs N          most misses compiled at once, on one\n"
+        "                    shared pool (default 1)\n"
         "  --cache PATH      persist the compile cache at PATH\n"
         "                    (default: in-memory only)\n"
         "  --queue N         admission-queue bound; overflow is\n"
