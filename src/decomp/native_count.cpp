@@ -58,6 +58,10 @@ nativeCountOp(const qcir::Op &op, GateSet gs)
         if (gs == GateSet::Syc)
             return 1;
         break;
+      case qcir::OpKind::Swap:
+        // A SWAP costs 3 in every gate set (see native_count.h);
+        // routing emits tens of thousands, so skip the 4x4 build.
+        return 3;
       default:
         break;
     }

@@ -1,8 +1,8 @@
 #include "qcir/qasm.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -11,58 +11,114 @@
 namespace tqan {
 namespace qcir {
 
+namespace {
+
+/** Append v as printf's "%.12g" would print it (what an ostream at
+ * precision(12) wrote). */
+void
+appendNumber(std::string &out, double v)
+{
+    char buf[32];
+    auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                           std::chars_format::general, 12);
+    out.append(buf, r.ptr);
+}
+
+void
+appendNumber(std::string &out, int v)
+{
+    char buf[16];
+    auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
+}
+
+/** "<gate>(<theta>) q[<q>];\n" */
+void
+appendRotation(std::string &out, const char *gate, const Op &op)
+{
+    out += gate;
+    out += '(';
+    appendNumber(out, op.theta);
+    out += ") q[";
+    appendNumber(out, op.q0);
+    out += "];\n";
+}
+
+/** "<gate> q[<q0>],q[<q1>];\n" */
+void
+appendTwoQubit(std::string &out, const char *gate, const Op &op)
+{
+    out += gate;
+    out += " q[";
+    appendNumber(out, op.q0);
+    out += "],q[";
+    appendNumber(out, op.q1);
+    out += "];\n";
+}
+
+} // namespace
+
 std::string
 toQasm(const Circuit &c)
 {
-    std::ostringstream os;
-    os.precision(12);
-    os << "OPENQASM 2.0;\n";
-    os << "include \"qelib1.inc\";\n";
+    std::string os;
+    os.reserve(64 + 32 * static_cast<size_t>(c.size()));
+    os += "OPENQASM 2.0;\n";
+    os += "include \"qelib1.inc\";\n";
 
     bool has_iswap = c.countKind(OpKind::ISwap) > 0;
     bool has_syc = c.countKind(OpKind::Syc) > 0;
     if (has_iswap) {
-        os << "gate iswap a,b { s a; s b; h a; cx a,b; cx b,a; "
+        os += "gate iswap a,b { s a; s b; h a; cx a,b; cx b,a; "
               "h b; }\n";
     }
     if (has_syc) {
         // fSim(pi/2, pi/6) = iSWAP^dag followed by a -pi/6 phase on
         // |11>; expressed with cu1 + the iswap expansion.
-        os << "gate syc a,b { sdg a; sdg b; h b; cx b,a; cx a,b; "
+        os += "gate syc a,b { sdg a; sdg b; h b; cx b,a; cx a,b; "
               "h a; cu1(-pi/6) a,b; }\n";
     }
-    os << "qreg q[" << c.numQubits() << "];\n";
+    os += "qreg q[";
+    appendNumber(os, c.numQubits());
+    os += "];\n";
 
     for (const auto &op : c.ops()) {
         switch (op.kind) {
           case OpKind::Rx:
-            os << "rx(" << op.theta << ") q[" << op.q0 << "];\n";
+            appendRotation(os, "rx", op);
             break;
           case OpKind::Ry:
-            os << "ry(" << op.theta << ") q[" << op.q0 << "];\n";
+            appendRotation(os, "ry", op);
             break;
           case OpKind::Rz:
-            os << "rz(" << op.theta << ") q[" << op.q0 << "];\n";
+            appendRotation(os, "rz", op);
             break;
           case OpKind::U1q: {
             linalg::Zyz d = linalg::zyzDecompose(op.unitary2());
             // u3(theta, phi, lambda) = Rz(phi) Ry(theta) Rz(lambda)
             // up to global phase.
-            os << "u3(" << d.beta << "," << d.alpha << "," << d.gamma
-               << ") q[" << op.q0 << "];\n";
+            os += "u3(";
+            appendNumber(os, d.beta);
+            os += ',';
+            appendNumber(os, d.alpha);
+            os += ',';
+            appendNumber(os, d.gamma);
+            os += ") q[";
+            appendNumber(os, op.q0);
+            os += "];\n";
             break;
           }
           case OpKind::Cnot:
-            os << "cx q[" << op.q0 << "],q[" << op.q1 << "];\n";
+            appendTwoQubit(os, "cx", op);
             break;
           case OpKind::Cz:
-            os << "cz q[" << op.q0 << "],q[" << op.q1 << "];\n";
+            appendTwoQubit(os, "cz", op);
             break;
           case OpKind::ISwap:
-            os << "iswap q[" << op.q0 << "],q[" << op.q1 << "];\n";
+            appendTwoQubit(os, "iswap", op);
             break;
           case OpKind::Syc:
-            os << "syc q[" << op.q0 << "],q[" << op.q1 << "];\n";
+            appendTwoQubit(os, "syc", op);
             break;
           case OpKind::Interact:
           case OpKind::Swap:
@@ -74,7 +130,7 @@ toQasm(const Circuit &c)
                 "'; run a decomposition pass first");
         }
     }
-    return os.str();
+    return os;
 }
 
 namespace {

@@ -1,13 +1,15 @@
 #include "route/path_search.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 namespace tqan {
 namespace route {
 
 namespace {
+
+const double kInf = std::numeric_limits<double>::infinity();
 
 std::vector<int>
 unwind(const std::vector<int> &prev, int s, int t)
@@ -21,29 +23,42 @@ unwind(const std::vector<int> &prev, int s, int t)
     return path;
 }
 
+/** Put the vertices a search reached back at rest. */
+void
+reset(SearchWorkspace &ws)
+{
+    for (int v : ws.touched) {
+        ws.dist[v] = kInf;
+        ws.prev[v] = -1;
+        ws.done[v] = 0;
+    }
+    ws.touched.clear();
+    ws.heap.clear();
+}
+
 /** Dijkstra on a per-vertex entry cost; when `monotonic`, only edges
  * that strictly decrease the hop distance to t are taken.  An
  * infinite entry cost excludes the vertex.  Deterministic: the
- * priority queue orders by (cost, vertex id). */
+ * binary heap (push_heap/pop_heap under std::greater, the
+ * std::priority_queue discipline) orders by (cost, vertex id). */
 template <typename EnterCost>
 std::vector<int>
 dijkstra(const device::Topology &topo, int s, int t, bool monotonic,
-         EnterCost enter)
+         EnterCost enter, SearchWorkspace &ws)
 {
-    const int n = topo.numQubits();
-    const double inf = std::numeric_limits<double>::infinity();
-    std::vector<double> d(n, inf);
-    std::vector<int> prev(n, -1);
-    std::vector<char> done(n, 0);
     using Entry = std::pair<double, int>;
-    std::priority_queue<Entry, std::vector<Entry>,
-                        std::greater<Entry>>
-        pq;
+    const std::greater<Entry> after;
+    std::vector<double> &d = ws.dist;
+    std::vector<int> &prev = ws.prev;
+    std::vector<char> &done = ws.done;
+    std::vector<Entry> &pq = ws.heap;
     d[s] = 0.0;
-    pq.push({0.0, s});
+    ws.touched.push_back(s);
+    pq.push_back({0.0, s});
     while (!pq.empty()) {
-        auto [dc, u] = pq.top();
-        pq.pop();
+        auto [dc, u] = pq.front();
+        std::pop_heap(pq.begin(), pq.end(), after);
+        pq.pop_back();
         if (done[u])
             continue;
         done[u] = 1;
@@ -57,37 +72,49 @@ dijkstra(const device::Topology &topo, int s, int t, bool monotonic,
             // The target costs nothing to enter: the chain stops
             // short of it (the net's other endpoint lives there).
             double step = v == t ? 0.0 : enter(v);
-            if (step == inf)
+            if (step == kInf)
                 continue;
             double nd = dc + step;
             if (nd < d[v] || (nd == d[v] && u < prev[v])) {
+                if (d[v] == kInf)
+                    ws.touched.push_back(v);
                 d[v] = nd;
                 prev[v] = u;
-                pq.push({nd, v});
+                pq.push_back({nd, v});
+                std::push_heap(pq.begin(), pq.end(), after);
             }
         }
     }
-    if (d[t] == inf)
-        return {};
-    return unwind(prev, s, t);
+    std::vector<int> path;
+    if (d[t] != kInf)
+        path = unwind(prev, s, t);
+    reset(ws);
+    return path;
 }
 
 } // namespace
 
-std::vector<int>
-pathDirect(const device::Topology &topo, int s, int t)
+SearchWorkspace::SearchWorkspace(int numVertices)
+    : dist(numVertices, kInf), prev(numVertices, -1),
+      done(numVertices, 0)
 {
-    const int n = topo.numQubits();
+}
+
+std::vector<int>
+pathDirect(const device::Topology &topo, int s, int t,
+           SearchWorkspace &ws)
+{
     if (s == t)
         return {s};
-    std::vector<int> prev(n, -1);
-    std::vector<char> seen(n, 0);
-    std::queue<int> q;
+    std::vector<int> &prev = ws.prev;
+    std::vector<char> &seen = ws.done;
+    // Every seen vertex enters the queue once, so the queue is also
+    // the reset list.
+    std::vector<int> &q = ws.touched;
     seen[s] = 1;
-    q.push(s);
-    while (!q.empty()) {
-        int u = q.front();
-        q.pop();
+    q.push_back(s);
+    for (size_t head = 0; head < q.size(); ++head) {
+        int u = q[head];
         if (u == t)
             break;
         for (int v : topo.neighbors(u)) {
@@ -95,41 +122,42 @@ pathDirect(const device::Topology &topo, int s, int t)
                 continue;
             seen[v] = 1;
             prev[v] = u;
-            q.push(v);
+            q.push_back(v);
         }
     }
-    if (!seen[t])
-        return {};
-    return unwind(prev, s, t);
+    std::vector<int> path;
+    if (seen[t])
+        path = unwind(prev, s, t);
+    reset(ws);
+    return path;
 }
 
 std::vector<int>
 pathMonotonic(const device::Topology &topo, const CostModel &cost,
-              int s, int t)
+              int s, int t, SearchWorkspace &ws)
 {
-    return dijkstra(topo, s, t, true,
-                    [&](int v) { return cost.enterCost(v); });
+    return dijkstra(
+        topo, s, t, true, [&](int v) { return cost.enterCost(v); }, ws);
 }
 
 std::vector<int>
 pathMaze(const device::Topology &topo, const CostModel &cost, int s,
-         int t)
+         int t, SearchWorkspace &ws)
 {
-    return dijkstra(topo, s, t, false,
-                    [&](int v) { return cost.enterCost(v); });
+    return dijkstra(
+        topo, s, t, false, [&](int v) { return cost.enterCost(v); }, ws);
 }
 
 std::vector<int>
 pathConstrained(const device::Topology &topo, int s, int t,
                 const std::vector<char> &blocked,
-                const std::vector<double> &bias)
+                const std::vector<double> &bias, SearchWorkspace &ws)
 {
-    const double inf = std::numeric_limits<double>::infinity();
     if (blocked[s] || blocked[t])
         return {};
-    return dijkstra(topo, s, t, true, [&](int v) {
-        return blocked[v] ? inf : 1.0 + bias[v];
-    });
+    return dijkstra(
+        topo, s, t, true,
+        [&](int v) { return blocked[v] ? kInf : 1.0 + bias[v]; }, ws);
 }
 
 } // namespace route

@@ -22,11 +22,17 @@
  * All searches are deterministic: ties break toward the smaller
  * vertex id, never the rng, so routing is reproducible and
  * jobs-invariant by construction.
+ *
+ * Every search runs in a SearchWorkspace owned by its caller (one per
+ * routing call, never shared between threads) and returns it clean,
+ * resetting only the vertices it reached: a search costs what it
+ * visits, not an O(N) allocate-and-fill of the device.
  */
 
 #ifndef TQAN_ROUTE_PATH_SEARCH_H
 #define TQAN_ROUTE_PATH_SEARCH_H
 
+#include <utility>
 #include <vector>
 
 #include "device/topology.h"
@@ -35,17 +41,32 @@
 namespace tqan {
 namespace route {
 
+/** Per-vertex search state of one device, at rest between searches
+ * (dist = inf, prev = -1, done = 0, touched and heap empty). */
+struct SearchWorkspace
+{
+    explicit SearchWorkspace(int numVertices);
+
+    std::vector<double> dist;
+    std::vector<int> prev;
+    std::vector<char> done;    ///< settled (Dijkstra) / seen (BFS)
+    std::vector<int> touched;  ///< reached vertices; the BFS queue
+    std::vector<std::pair<double, int>> heap;
+};
+
 /** BFS shortest path s..t inclusive; empty when unreachable. */
-std::vector<int> pathDirect(const device::Topology &topo, int s,
-                            int t);
+std::vector<int> pathDirect(const device::Topology &topo, int s, int t,
+                            SearchWorkspace &ws);
 
 /** Min congestion cost among shortest (hop-optimal) paths s..t. */
 std::vector<int> pathMonotonic(const device::Topology &topo,
-                               const CostModel &cost, int s, int t);
+                               const CostModel &cost, int s, int t,
+                               SearchWorkspace &ws);
 
 /** Min congestion cost over all paths s..t (detours allowed). */
 std::vector<int> pathMaze(const device::Topology &topo,
-                          const CostModel &cost, int s, int t);
+                          const CostModel &cost, int s, int t,
+                          SearchWorkspace &ws);
 
 /**
  * Min bias cost among shortest paths s..t that avoid the `blocked`
@@ -58,7 +79,8 @@ std::vector<int> pathMaze(const device::Topology &topo,
 std::vector<int> pathConstrained(const device::Topology &topo, int s,
                                  int t,
                                  const std::vector<char> &blocked,
-                                 const std::vector<double> &bias);
+                                 const std::vector<double> &bias,
+                                 SearchWorkspace &ws);
 
 } // namespace route
 } // namespace tqan

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "qap/placement.h"
 #include "route/cost_model.h"
@@ -34,14 +34,21 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
     if (!qap::placementIsValid(initial, topo.numQubits()))
         throw std::invalid_argument("route: invalid placement");
 
-    // Collect the two-qubit ops.
+    // Collect the two-qubit ops, with each logical qubit's incident
+    // ops in ascending op order.
     std::vector<int> op_u, op_v, op_idx;
+    std::vector<std::vector<int>> incident(n);
+    std::vector<char> interact;
     for (int i = 0; i < circuit.size(); ++i) {
         const auto &o = circuit.op(i);
         if (o.isTwoQubit()) {
+            int k = static_cast<int>(op_idx.size());
             op_idx.push_back(i);
             op_u.push_back(o.q0);
             op_v.push_back(o.q1);
+            interact.push_back(o.kind == qcir::OpKind::Interact);
+            incident[o.q0].push_back(k);
+            incident[o.q1].push_back(k);
         }
     }
     int m = static_cast<int>(op_idx.size());
@@ -54,15 +61,45 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
     auto distOf = [&](int k) {
         return topo.dist(phi[op_u[k]], phi[op_v[k]]);
     };
+    // Calls f(k) once for every op on logical qubit la or lb (either
+    // may be -1, an empty device qubit).
+    auto forOpsOn = [&](int la, int lb, auto &&f) {
+        if (la >= 0)
+            for (int k : incident[la])
+                f(k);
+        if (lb >= 0)
+            for (int k : incident[lb])
+                if (op_u[k] != la && op_v[k] != la)
+                    f(k);
+    };
 
-    // Partition into already-NN and unrouted (the nets).
+    // Routed, unabsorbed Interact ops per logical qubit in routing
+    // order (the scan order of the nnOps buckets), and the bucket
+    // each op went into: the dressed-SWAP candidates.
+    std::vector<std::vector<int>> dressCands(n);
+    std::vector<int> bucketOf(m, -1);
+    auto markRouted = [&](int k) {
+        bucketOf[k] = static_cast<int>(res.nnOps.size()) - 1;
+        res.nnOps.back().push_back(k);
+        if (interact[k]) {
+            dressCands[op_u[k]].push_back(k);
+            dressCands[op_v[k]].push_back(k);
+        }
+    };
+
+    // Partition into already-NN and unrouted (the nets).  `unrouted`
+    // stays ascending; ops routed mid-epoch only clear their flag and
+    // leave the list at the epoch's end.
     std::vector<int> unrouted;
+    std::vector<char> isUnrouted(m, 0);
     res.nnOps.emplace_back();
     for (int k = 0; k < m; ++k) {
-        if (distOf(k) == 1)
-            res.nnOps[0].push_back(k);
-        else
+        if (distOf(k) == 1) {
+            markRouted(k);
+        } else {
             unrouted.push_back(k);
+            isUnrouted[k] = 1;
+        }
     }
 
     const long max_swaps =
@@ -71,29 +108,27 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         64;
     long iter = 0;
 
-    // Same dressed-SWAP merging as the greedy router: an unabsorbed,
-    // already-routed Interact op whose logical pair sits on (p, q).
+    // Same dressed-SWAP merging as the greedy router: the first
+    // routed, unabsorbed Interact op whose logical pair sits on (p, q).
     auto dressable = [&](int p, int q) -> int {
         if (!opt.unifySwaps)
             return -1;
         int la = inv[p], lb = inv[q];
         if (la < 0 || lb < 0)
             return -1;
-        for (size_t mi = 0; mi < res.nnOps.size(); ++mi) {
-            for (int k : res.nnOps[mi]) {
-                if ((op_u[k] == la && op_v[k] == lb) ||
-                    (op_u[k] == lb && op_v[k] == la)) {
-                    if (circuit.op(op_idx[k]).kind ==
-                        qcir::OpKind::Interact)
-                        return k;
-                }
-            }
-        }
+        for (int k : dressCands[la])
+            if (op_u[k] == lb || op_v[k] == lb)
+                return k;
         return -1;
+    };
+    auto eraseOne = [](std::vector<int> &v, int k) {
+        v.erase(std::find(v.begin(), v.end(), k));
     };
 
     // Apply one SWAP on device edge (sp, sq): absorb a mergeable op,
-    // move the two occupants, re-bucket newly nearest-neighbour nets.
+    // move the two occupants, bucket their newly nearest-neighbour
+    // nets.  No other op's distance changes.
+    std::vector<int> newlyNN;
     auto applySwap = [&](int sp, int sq) {
         if (++iter > max_swaps)
             throw std::runtime_error("route: livelock guard tripped");
@@ -103,32 +138,35 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         int dressed = dressable(sp, sq);
         if (dressed >= 0) {
             step.dressedOp = op_idx[dressed];
-            for (auto &bucket : res.nnOps) {
-                auto it = std::find(bucket.begin(), bucket.end(),
-                                    dressed);
-                if (it != bucket.end()) {
-                    bucket.erase(it);
-                    break;
-                }
-            }
+            eraseOne(res.nnOps[bucketOf[dressed]], dressed);
+            eraseOne(dressCands[op_u[dressed]], dressed);
+            eraseOne(dressCands[op_v[dressed]], dressed);
         }
         res.swaps.push_back(step);
         qap::applySwap(phi, inv, sp, sq);
         res.nnOps.emplace_back();
-        std::vector<int> still;
-        for (int k : unrouted) {
-            if (distOf(k) == 1)
-                res.nnOps.back().push_back(k);
-            else
-                still.push_back(k);
+        newlyNN.clear();
+        forOpsOn(inv[sp], inv[sq], [&](int k) {
+            if (isUnrouted[k] && distOf(k) == 1)
+                newlyNN.push_back(k);
+        });
+        std::sort(newlyNN.begin(), newlyNN.end());
+        for (int k : newlyNN) {
+            isUnrouted[k] = 0;
+            markRouted(k);
         }
-        unrouted.swap(still);
     };
 
     // History persists across epochs — contention memory is the
     // negotiation's whole point.
     CostModel cost(topo.numQubits(), opt.rrrPresentWeight,
                    opt.rrrHistoryWeight);
+    SearchWorkspace ws(topo.numQubits());
+    // Planned path per op; only the current epoch's nets are read.
+    std::vector<std::vector<int>> plan(m);
+    // Commit-phase bias, back at 0.5 everywhere between nets.
+    std::vector<double> bias(topo.numQubits(), 0.5);
+    std::vector<int> biased;
 
     while (!unrouted.empty()) {
         // ---- Plan: one device-graph path per net, short nets first
@@ -141,14 +179,13 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
             int da = distOf(a), db = distOf(b);
             return da != db ? da < db : a < b;
         });
-        std::unordered_map<int, std::vector<int>> plan;
         for (int k : nets) {
             int s = phi[op_u[k]], t = phi[op_v[k]];
             std::vector<int> p =
-                cost.idle() ? pathDirect(topo, s, t)
-                            : pathMonotonic(topo, cost, s, t);
+                cost.idle() ? pathDirect(topo, s, t, ws)
+                            : pathMonotonic(topo, cost, s, t, ws);
             if (p.empty())
-                p = pathMaze(topo, cost, s, t);
+                p = pathMaze(topo, cost, s, t, ws);
             if (p.empty())
                 throw std::runtime_error(
                     "route: endpoints unreachable");
@@ -164,17 +201,13 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
             if (cost.totalOverflow() == 0)
                 break;
             cost.chargeHistory();
-            std::vector<int> ripped;
+            std::vector<std::pair<int, int>> ripped;
             for (int k : nets)
                 if (cost.pathOverflowed(plan[k]))
-                    ripped.push_back(k);
-            std::sort(ripped.begin(), ripped.end(),
-                      [&](int a, int b) {
-                          int oa = cost.pathOveruse(plan[a]);
-                          int ob = cost.pathOveruse(plan[b]);
-                          return oa != ob ? oa > ob : a < b;
-                      });
-            for (int k : ripped) {
+                    ripped.push_back({-cost.pathOveruse(plan[k]), k});
+            std::sort(ripped.begin(), ripped.end());
+            for (const auto &rk : ripped) {
+                int k = rk.second;
                 cost.delPath(plan[k]);
                 int s = phi[op_u[k]], t = phi[op_v[k]];
                 // Reroute hop-optimally: unlike a wire, a SWAP chain
@@ -182,9 +215,10 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
                 // net can always wait for the next epoch for free —
                 // so congestion may pick among shortest paths but
                 // never buy a detour.
-                std::vector<int> p = pathMonotonic(topo, cost, s, t);
+                std::vector<int> p =
+                    pathMonotonic(topo, cost, s, t, ws);
                 if (p.empty())
-                    p = pathMaze(topo, cost, s, t);
+                    p = pathMaze(topo, cost, s, t, ws);
                 if (!p.empty())
                     plan[k] = std::move(p);
                 cost.addPath(plan[k]);
@@ -192,7 +226,8 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         }
 
         // ---- Commit: maximal vertex-disjoint set of chains, closest
-        // nets first.  Each committed net is re-planned with a
+        // nets first (`nets` is already in that order: no SWAP ran
+        // since the plan).  Each committed net is re-planned with a
         // hop-optimal path that avoids the vertices already owned by
         // this epoch's chains — the negotiated (possibly detoured)
         // plan decides GROUPING and survives only as a fallback, so
@@ -204,30 +239,26 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         // dresses the SWAP) for free.  The head of the order always
         // fits an empty mask, so every epoch routes at least one net
         // and the loop terminates.
-        std::vector<int> order = nets;
-        std::sort(order.begin(), order.end(), [&](int a, int b) {
-            int da = distOf(a), db = distOf(b);
-            return da != db ? da < db : a < b;
-        });
         std::vector<char> taken(topo.numQubits(), 0);
         std::vector<int> committed;
-        std::unordered_map<int, std::vector<int>> chain;
-        for (int k : order) {
+        std::vector<std::vector<int>> chains;
+        for (int k : nets) {
             int s = phi[op_u[k]], t = phi[op_v[k]];
-            std::vector<double> bias(topo.numQubits(), 0.5);
-            for (int k2 : unrouted) {
-                if (k2 == k)
-                    continue;
-                int other = -1;
-                if (op_u[k2] == op_u[k] || op_u[k2] == op_v[k])
-                    other = op_v[k2];
-                else if (op_v[k2] == op_u[k] || op_v[k2] == op_v[k])
-                    other = op_u[k2];
-                if (other >= 0)
-                    bias[phi[other]] = 0.0;
-            }
+            forOpsOn(op_u[k], op_v[k], [&](int k2) {
+                if (k2 == k || !isUnrouted[k2])
+                    return;
+                int other =
+                    op_u[k2] == op_u[k] || op_u[k2] == op_v[k]
+                        ? op_v[k2]
+                        : op_u[k2];
+                bias[phi[other]] = 0.0;
+                biased.push_back(phi[other]);
+            });
             std::vector<int> p =
-                pathConstrained(topo, s, t, taken, bias);
+                pathConstrained(topo, s, t, taken, bias, ws);
+            for (int v : biased)
+                bias[v] = 0.5;
+            biased.clear();
             if (p.empty()) {
                 // No hop-optimal path clears the mask; the
                 // negotiated plan may still be disjoint.
@@ -244,7 +275,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
             }
             for (int v : p)
                 taken[v] = 1;
-            chain[k] = std::move(p);
+            chains.push_back(std::move(p));
             committed.push_back(k);
         }
 
@@ -257,29 +288,24 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         // negotiated corridor), ties preferring a dressable SWAP.  A
         // net whose op goes nearest-neighbour early (detours,
         // absorption side effects) stops its chain right there.
+        // Only nets on the two swapped occupants change distance.
         auto swapDelta = [&](int x, int y) {
-            int la = inv[x], lb = inv[y];
             long d = 0;
-            for (int k : unrouted) {
-                bool touches = op_u[k] == la || op_v[k] == la ||
-                               op_u[k] == lb || op_v[k] == lb;
-                if (!touches)
-                    continue;
+            forOpsOn(inv[x], inv[y], [&](int k) {
+                if (!isUnrouted[k])
+                    return;
                 int du = phi[op_u[k]], dv = phi[op_v[k]];
                 int nu = du == x ? y : (du == y ? x : du);
                 int nv = dv == x ? y : (dv == y ? x : dv);
                 d += topo.dist(nu, nv) - topo.dist(du, dv);
-            }
+            });
             return d;
         };
-        for (int k : committed) {
-            const std::vector<int> &p = chain[k];
+        for (size_t c = 0; c < committed.size(); ++c) {
+            const int k = committed[c];
+            const std::vector<int> &p = chains[c];
             int a = 0, b = static_cast<int>(p.size()) - 1;
-            auto live = [&]() {
-                return std::find(unrouted.begin(), unrouted.end(),
-                                 k) != unrouted.end();
-            };
-            while (live() && b > a + 1) {
+            while (isUnrouted[k] && b > a + 1) {
                 long da = swapDelta(p[a], p[a + 1]);
                 long db = swapDelta(p[b], p[b - 1]);
                 bool sideA;
@@ -305,6 +331,9 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
                 }
             }
         }
+        unrouted.erase(std::remove_if(unrouted.begin(), unrouted.end(),
+                                      [&](int k) { return !isUnrouted[k]; }),
+                       unrouted.end());
     }
 
     res.finalMap = std::move(phi);

@@ -29,6 +29,14 @@
  *     renegotiate next epoch; at least one net commits per epoch, so
  *     the loop terminates.
  *
+ * Cost: the bookkeeping is incremental.  Each logical qubit keeps its
+ * incident ops and its routed dressed-SWAP candidates, so a SWAP
+ * re-tests, scores and absorbs only among the ops on its two
+ * occupants; its work is proportional to those ops, not to every
+ * unrouted net or every routed bucket.  The path searches share one
+ * workspace per routing call (route/path_search.h), so a search pays
+ * for the vertices it visits, not for the device size.
+ *
  * Output is the same RoutingResult contract (maps/nnOps/swaps,
  * routingIsValid) the rest of the pipeline consumes, selected via
  * the "rrr" entry of the router registry (core/router_registry.h).

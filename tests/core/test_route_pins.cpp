@@ -67,6 +67,8 @@ TEST(RoutePins, DeviceScaleRoutesAreStableAcrossBuilds)
          "17ea55e5ac5b2879"},
         {core::Benchmark::NnnHeisenberg, 256, "grid:16x16", "rrr", 282,
          "e2da9a5ddcbc19ba"},
+        {core::Benchmark::QaoaReg3, 574, "heavyhex:15", "rrr", 5744,
+         "b0f934e5a8107749"},
     };
     for (const Pin &pin : pins) {
         core::SweepUnit u = core::buildSweepUnit(pin.bench, pin.n, 0, 0);

@@ -191,6 +191,20 @@ TEST(NativeCount, OpInterface)
                  std::invalid_argument);
 }
 
+TEST(NativeCount, PlainSwapShortcutMatchesItsUnitary)
+{
+    // nativeCountOp answers a plain SWAP without building its 4x4;
+    // the answer must be what the unitary's class gives.
+    using tqan::qcir::Op;
+    const Op swap = Op::swap(0, 1);
+    for (GateSet gs : {GateSet::Cnot, GateSet::Cz, GateSet::ISwap,
+                       GateSet::Syc}) {
+        SCOPED_TRACE(device::gateSetName(gs));
+        EXPECT_EQ(nativeCount(swap.unitary4(), gs),
+                  nativeCountOp(swap, gs));
+    }
+}
+
 TEST(NativeCount, CircuitTotal)
 {
     using tqan::qcir::Circuit;

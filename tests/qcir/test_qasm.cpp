@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+
 #include "decomp/pass.h"
 #include "linalg/matrix.h"
 #include "qcir/qasm.h"
@@ -29,6 +33,49 @@ TEST(Qasm, BasicGates)
     EXPECT_NE(q.find("cz q[1],q[2];"), std::string::npos);
     // No custom gate headers needed.
     EXPECT_EQ(q.find("gate iswap"), std::string::npos);
+}
+
+TEST(Qasm, AnglesPrintLikeAStreamAtPrecision12)
+{
+    // toQasm formats numbers itself; its bytes must be those of an
+    // ostream at precision(12) (printf's "%.12g").
+    const double inf = std::numeric_limits<double>::infinity();
+    const double values[] = {0.0,
+                             -0.0,
+                             1e-5,
+                             1e21,
+                             5e-324,
+                             0.1 + 0.2,
+                             M_PI,
+                             -M_PI,
+                             123456.789012,
+                             1234567.89012,
+                             -0.000123456789012,
+                             123456789012.0,
+                             1234567890123.0,
+                             1.234567890123,
+                             0.1234567890125,
+                             inf,
+                             -inf,
+                             std::nan(""),
+                             -std::nan("")};
+    Circuit c(1001);
+    std::ostringstream ref;
+    ref.precision(12);
+    ref << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1001];\n";
+    int q = 0;
+    for (double v : values) {
+        c.add(Op::rx(q, v));
+        c.add(Op::ry(q + 1, v));
+        c.add(Op::rz(1000, v));
+        c.add(Op::cnot(q, 1000));
+        ref << "rx(" << v << ") q[" << q << "];\n";
+        ref << "ry(" << v << ") q[" << q + 1 << "];\n";
+        ref << "rz(" << v << ") q[1000];\n";
+        ref << "cx q[" << q << "],q[1000];\n";
+        q += 37;
+    }
+    EXPECT_EQ(qcir::toQasm(c), ref.str());
 }
 
 TEST(Qasm, U1qAsU3)
