@@ -40,7 +40,7 @@ main()
     core::CompileResult result = compiler.compile(step);
 
     std::printf("placement found by Tabu-QAP in %.1f ms\n",
-                result.mappingSeconds * 1e3);
+                core::passSeconds(result.passTimes, "mapping") * 1e3);
     std::printf("inserted SWAPs: %d (of which dressed: %d)\n",
                 result.sched.swapCount, result.sched.dressedCount);
 

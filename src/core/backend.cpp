@@ -45,7 +45,6 @@ CompileResult
 fromBaseline(baseline::BaselineResult r, double seconds)
 {
     CompileResult res;
-    res.placement = r.initialMap;
     res.sched.deviceCircuit = std::move(r.deviceCircuit);
     res.sched.initialMap = std::move(r.initialMap);
     res.sched.finalMap = std::move(r.finalMap);

@@ -6,12 +6,11 @@
  * is applied afterwards by the decomp passes, keeping the pipeline
  * independent of the hardware gate set.
  *
- * The pipeline is assembled from core/passes.h building blocks and
- * executed by a PassManager (core/pass.h); the mapper and router
- * stages are strategies picked by name (CompilerOptions::mapper,
- * CompilerOptions::router.name) from their core::Registry tables
- * (core/registry.h).  TqanCompiler is the convenience front end that
- * wires the standard pipeline from CompilerOptions.
+ * TqanCompiler::compile runs the four stages in that fixed order and
+ * times each one (CompileResult::passTimes, the paper's Sec. V-D
+ * runtime breakdown).  The mapper and router stages are strategies
+ * picked by name (CompilerOptions::mapper, CompilerOptions::router.name)
+ * from their core::Registry tables (core/registry.h).
  */
 
 #ifndef TQAN_CORE_COMPILER_H
@@ -21,8 +20,8 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "core/pass.h"
 #include "core/router.h"
 #include "device/noise_map.h"
 #include "core/scheduler.h"
@@ -73,13 +72,23 @@ struct CompilerOptions
     std::uint64_t seed = 7;
 };
 
-/** Full result of one compilation, with per-pass wall times. */
+/** Wall time of one compile stage ("unify", "mapping", "routing",
+ * "scheduling"; "compile" for a backend timed as a whole). */
+struct PassTiming
+{
+    std::string pass;
+    double seconds = 0.0;
+};
+
+/** Sum of the entries whose pass name matches (0.0 if none). */
+double passSeconds(const std::vector<PassTiming> &times,
+                   const std::string &pass);
+
+/** Full result of one compilation, with per-stage wall times. */
 struct CompileResult
 {
-    qap::Placement placement;
-    RoutingResult routing;
     ScheduleResult sched;
-    /** Wall time of every executed pass, in execution order. */
+    /** Wall time of every executed stage, in execution order. */
     std::vector<PassTiming> passTimes;
 
     /** @name Layout accessors.
@@ -100,12 +109,6 @@ struct CompileResult
         return sched.finalMap;
     }
     /** @} */
-
-    /** Convenience accessors over passTimes for the three classic
-     * stages (0.0 when a stage did not run). */
-    double mappingSeconds = 0.0;
-    double routingSeconds = 0.0;
-    double schedulingSeconds = 0.0;
 };
 
 /**
@@ -128,16 +131,12 @@ class TqanCompiler
     const CompilerOptions &options() const { return opt_; }
 
     /**
-     * Compile one Trotter-step (or QAOA-layer) circuit.  Only
+     * Compile one Trotter-step (or QAOA-layer) circuit: unify (when
+     * CompilerOptions::unifyCircuit), map, route, schedule.  Only
      * Interact two-qubit ops participate in routing; single-qubit
      * ops ride along freely.
      */
     CompileResult compile(const qcir::Circuit &step) const;
-
-    /** The standard pass pipeline the options describe (unify ->
-     * mapping -> routing -> scheduling, with ablation toggles
-     * applied). */
-    PassManager buildPipeline() const;
 
   private:
     device::Topology topo_;

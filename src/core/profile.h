@@ -14,8 +14,8 @@
  * (mapper trials, batch jobs) aggregate into the same table.
  *
  * Use the RAII timer for new measurements and record() to feed in
- * durations something else already measured (the PassManager's
- * per-pass times, the BatchCompiler's per-job times):
+ * durations something else already measured (TqanCompiler's
+ * per-stage times, the BatchCompiler's per-job times):
  *
  * @code
  *   { profile::ScopedTimer t("qap.tabu"); ... }   // measures

@@ -97,7 +97,7 @@ routePermutationAware(const qcir::Circuit &circuit,
         total += distOf(k);
 
     const long max_swaps =
-        static_cast<long>(opt.maxSwapFactor) * std::max(1, m) *
+        kMaxSwapFactor * std::max(1, m) *
             std::max(2, topo.numQubits()) / 2 +
         64;
     long iter = 0;

@@ -80,18 +80,12 @@ struct RouterOptions
     std::string name = "greedy";
     /** Enable criterion 3 and dressed-SWAP merging. */
     bool unifySwaps = true;
-    /** Give up after this many SWAPs per two-qubit op (livelock
-     * guard; generous, never hit in practice). */
-    int maxSwapFactor = 16;
-    /** @name rrr knobs (ignored by greedy). @{ */
-    /** Ripup/reroute negotiation rounds per commit epoch. */
-    int rrrMaxRounds = 6;
-    /** History-penalty increment per overflowed vertex per round. */
-    double rrrHistoryWeight = 1.0;
-    /** Present-congestion multiplier in the maze-search edge cost. */
-    double rrrPresentWeight = 1.0;
-    /** @} */
 };
+
+/** Livelock guard shared by the routers: a routing call gives up
+ * (std::runtime_error) after kMaxSwapFactor * ops * max(2, qubits) / 2
+ * + 64 SWAPs.  Generous; never hit in practice. */
+constexpr long kMaxSwapFactor = 16;
 
 /**
  * Route the two-qubit ops of a (single Trotter step) circuit.

@@ -708,9 +708,10 @@ scoreSweepShard(const BatchCompiler &bc, const BatchJob &bj,
     BatchJobResult res = bc.runOne(bj);
     row->metrics = res.metrics;
     row->seconds = res.seconds;
-    row->mappingSeconds = res.result.mappingSeconds;
-    row->routingSeconds = res.result.routingSeconds;
-    row->schedulingSeconds = res.result.schedulingSeconds;
+    const auto &times = res.result.passTimes;
+    row->mappingSeconds = passSeconds(times, "mapping");
+    row->routingSeconds = passSeconds(times, "routing");
+    row->schedulingSeconds = passSeconds(times, "scheduling");
     row->error = res.error;
     if (verifyRow && row->ok()) {
         verify::CompilationCheck chk =
@@ -1131,10 +1132,10 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
                     continue;
                 }
                 secs.push_back(res.seconds);
-                mapping.push_back(res.result.mappingSeconds);
-                routing.push_back(res.result.routingSeconds);
-                scheduling.push_back(
-                    res.result.schedulingSeconds);
+                const auto &times = res.result.passTimes;
+                mapping.push_back(passSeconds(times, "mapping"));
+                routing.push_back(passSeconds(times, "routing"));
+                scheduling.push_back(passSeconds(times, "scheduling"));
                 quality = res.metrics;
                 haveQuality = true;
             }

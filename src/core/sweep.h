@@ -217,7 +217,7 @@ struct SweepRow
     CompilationMetrics metrics;
     double seconds = 0.0;
     /** Wall time of the classic pipeline stages (paper Sec. V-D
-     * breakdown); 0.0 for backends without a pass pipeline. */
+     * breakdown); 0.0 for backends timed as one "compile" stage. */
     double mappingSeconds = 0.0;
     double routingSeconds = 0.0;
     double schedulingSeconds = 0.0;

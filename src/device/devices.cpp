@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/limits.h"
+#include "service/json.h"
 
 namespace tqan {
 namespace device {
@@ -189,19 +190,16 @@ manhattan65()
 
 namespace {
 
+/** Strict positive decimal: digits only, like the custom:N and
+ * Hamiltonian parsers (no sign, no blanks). */
 int
 parsedInt(const std::string &spec, const std::string &body)
 {
-    try {
-        size_t used = 0;
-        int v = std::stoi(body, &used);
-        if (used != body.size() || v <= 0)
-            throw std::invalid_argument("not a positive integer");
-        return v;
-    } catch (const std::exception &) {
+    int v = 0;
+    if (!service::parseI32(body, &v) || v <= 0)
         throw std::invalid_argument("deviceByName: bad parameter in '" +
                                     spec + "'");
-    }
+    return v;
 }
 
 /** Parametric specs share the repo-wide topology ceiling with

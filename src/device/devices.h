@@ -56,7 +56,9 @@ Topology manhattan65();
 /** @name Name-based lookup (CLI / sweep-spec surface). @{ */
 /**
  * Device by spec string: "montreal" | "sycamore" | "aspen" |
- * "manhattan" | "line:N" | "ring:N" | "grid:RxC".
+ * "manhattan" | "line:N" | "ring:N" | "grid:RxC" | "heavyhex:D"
+ * (heavyHex(D), D odd >= 3).  N, R, C and D are plain positive
+ * decimals: no sign, no blanks.
  * @throws std::invalid_argument on an unknown name or malformed
  *         parameters.
  */

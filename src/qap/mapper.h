@@ -1,7 +1,7 @@
 /**
  * @file
- * Pluggable initial-placement strategies (the "mapper" stage of the
- * pass pipeline).
+ * Pluggable initial-placement strategies (the "mapping" stage of
+ * TqanCompiler::compile).
  *
  * Every strategy implements the Mapper interface and is looked up by
  * name in one immutable core::Registry (core/registry.h); that name
@@ -38,7 +38,7 @@ struct MapperRequest
     /**
      * Location-distance matrix the QAP solvers score against: the
      * topology's hop matrix, or noise-aware distances when
-     * calibration data is attached (CompileContext::distances()).
+     * calibration data is attached (CompilerOptions::noiseMap).
      */
     const linalg::FlatMatrix *dist = nullptr;
     std::uint64_t seed = 0;

@@ -103,7 +103,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
     }
 
     const long max_swaps =
-        static_cast<long>(opt.maxSwapFactor) * std::max(1, m) *
+        core::kMaxSwapFactor * std::max(1, m) *
             std::max(2, topo.numQubits()) / 2 +
         64;
     long iter = 0;
@@ -159,8 +159,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
 
     // History persists across epochs — contention memory is the
     // negotiation's whole point.
-    CostModel cost(topo.numQubits(), opt.rrrPresentWeight,
-                   opt.rrrHistoryWeight);
+    CostModel cost(topo.numQubits(), kRrrPresentWeight, kRrrHistoryWeight);
     SearchWorkspace ws(topo.numQubits());
     // Planned path per op; only the current epoch's nets are read.
     std::vector<std::vector<int>> plan(m);
@@ -197,7 +196,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         // up the offending routes (worst congestion contribution
         // first) and reroute them through the maze phase; stop when
         // the overlap clears or the round cap hits.
-        for (int round = 0; round < opt.rrrMaxRounds; ++round) {
+        for (int round = 0; round < kRrrMaxRounds; ++round) {
             if (cost.totalOverflow() == 0)
                 break;
             cost.chargeHistory();

@@ -19,7 +19,7 @@
  *     incremental add_cost/del_cost maintenance.
  *  3. Negotiate: while planned paths overlap, charge history on the
  *     overflowed vertices, rip up the worst offenders and reroute
- *     them through the maze phase, up to rrrMaxRounds rounds.
+ *     them through the maze phase, up to kRrrMaxRounds rounds.
  *  4. Commit: a maximal vertex-disjoint set of planned paths (short
  *     paths first) executes as SWAP chains — each chain walks both
  *     endpoints toward the middle of its path, so the two half
@@ -49,6 +49,13 @@
 
 namespace tqan {
 namespace route {
+
+/** Ripup/reroute negotiation rounds per commit epoch. */
+constexpr int kRrrMaxRounds = 6;
+/** History-penalty increment per overflowed vertex per round. */
+constexpr double kRrrHistoryWeight = 1.0;
+/** Present-congestion multiplier in the maze-search edge cost. */
+constexpr double kRrrPresentWeight = 1.0;
 
 /** Route a placed step circuit by negotiated-congestion
  * ripup-and-reroute; same contract as routePermutationAware. */

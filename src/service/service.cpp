@@ -88,7 +88,7 @@ void
 appendCanonicalOptions(std::string &s,
                        const core::CompilerOptions &o, int nqubits)
 {
-    s += "options-v3\n";
+    s += "options-v4\n";
     s += "mapper=" + o.mapper + "\n";
     s += "mapper_trials=" + std::to_string(o.mapperTrials) + "\n";
     s += "unify_circuit=" + std::to_string(o.unifyCircuit ? 1 : 0) +
@@ -98,14 +98,6 @@ appendCanonicalOptions(std::string &s,
     s += "router.name=" + o.router.name + "\n";
     s += "router.unify_swaps=" +
          std::to_string(o.router.unifySwaps ? 1 : 0) + "\n";
-    s += "router.max_swap_factor=" +
-         std::to_string(o.router.maxSwapFactor) + "\n";
-    s += "router.rrr_max_rounds=" +
-         std::to_string(o.router.rrrMaxRounds) + "\n";
-    s += "router.rrr_history_weight=" +
-         doubleBits(o.router.rrrHistoryWeight) + "\n";
-    s += "router.rrr_present_weight=" +
-         doubleBits(o.router.rrrPresentWeight) + "\n";
     s += "tabu.max_iters=" + std::to_string(o.tabu.maxIters) + "\n";
     s += "tabu.low_mul=" + std::to_string(o.tabu.tabuLowMul) + "\n";
     s += "tabu.high_mul=" + std::to_string(o.tabu.tabuHighMul) + "\n";

@@ -77,7 +77,8 @@ expectSameResults(const std::vector<BatchJobResult> &a,
         ASSERT_TRUE(a[i].ok()) << a[i].error;
         ASSERT_TRUE(b[i].ok()) << b[i].error;
         EXPECT_EQ(a[i].tag, b[i].tag);
-        EXPECT_EQ(a[i].result.placement, b[i].result.placement);
+        EXPECT_EQ(a[i].result.initialLayout(),
+                  b[i].result.initialLayout());
         EXPECT_EQ(a[i].result.sched.deviceCircuit.str(),
                   b[i].result.sched.deviceCircuit.str());
         EXPECT_EQ(a[i].metrics.swaps, b[i].metrics.swaps);
@@ -188,7 +189,8 @@ TEST(BatchCompiler, NestedDefaultTrialWorkersMatchSequential)
         SCOPED_TRACE(seq[i].tag);
         ASSERT_TRUE(seq[i].ok()) << seq[i].error;
         ASSERT_TRUE(par[i].ok()) << par[i].error;
-        EXPECT_EQ(seq[i].result.placement, par[i].result.placement);
+        EXPECT_EQ(seq[i].result.initialLayout(),
+                  par[i].result.initialLayout());
         EXPECT_EQ(seq[i].result.sched.deviceCircuit.str(),
                   par[i].result.sched.deviceCircuit.str());
         EXPECT_EQ(seq[i].metrics.swaps, par[i].metrics.swaps);

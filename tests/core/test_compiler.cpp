@@ -1,6 +1,7 @@
 /**
  * @file
- * End-to-end tests of the TqanCompiler pipeline and metrics.
+ * End-to-end tests of the TqanCompiler pipeline, its per-stage
+ * times, and metrics.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "ham/models.h"
 #include "ham/qaoa.h"
 #include "ham/trotter.h"
+#include "qap/tabu.h"
 
 using namespace tqan;
 using namespace tqan::core;
@@ -125,6 +127,95 @@ TEST(Compiler, MultiLayerQaoaReversalStaysValid)
     auto inv0 = qap::invertPlacement(res.sched.initialMap,
                                      comp.topology().numQubits());
     EXPECT_EQ(inv, inv0);
+}
+
+TEST(Compiler, CompileReportsPerPassTimes)
+{
+    std::mt19937_64 rng(31);
+    auto h = ham::nnnHeisenberg(8, rng);
+    CompilerOptions opt;
+    opt.seed = 32;
+    TqanCompiler comp(device::grid(3, 3), opt);
+    auto res = comp.compile(ham::trotterStep(h, 1.0));
+
+    ASSERT_EQ(res.passTimes.size(), 4u);
+    EXPECT_EQ(res.passTimes[0].pass, "unify");
+    EXPECT_EQ(res.passTimes[3].pass, "scheduling");
+}
+
+TEST(Compiler, UnifyOffSkipsTheUnifyStage)
+{
+    std::mt19937_64 rng(34);
+    auto h = ham::nnnHeisenberg(6, rng);
+    CompilerOptions opt;
+    opt.unifyCircuit = false;
+    TqanCompiler comp(device::line(6), opt);
+    auto res = comp.compile(ham::trotterStep(h, 1.0));
+
+    std::vector<std::string> names;
+    for (const auto &t : res.passTimes) {
+        names.push_back(t.pass);
+        EXPECT_GE(t.seconds, 0.0);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"mapping", "routing",
+                                               "scheduling"}));
+}
+
+TEST(Compiler, PassSecondsSumsMatchingEntries)
+{
+    std::vector<PassTiming> times{{"mapping", 1.0},
+                                  {"routing", 2.0},
+                                  {"mapping", 0.5}};
+    EXPECT_DOUBLE_EQ(passSeconds(times, "mapping"), 1.5);
+    EXPECT_DOUBLE_EQ(passSeconds(times, "routing"), 2.0);
+    EXPECT_DOUBLE_EQ(passSeconds(times, "scheduling"), 0.0);
+}
+
+TEST(Compiler, NoiseAwareCompilePlacesAgainstNoiseAwareDistances)
+{
+    // With calibration data attached, the tabu stage solves the QAP
+    // of the unified step against the noise-aware matrix at
+    // noiseLambda, with the compile's seed and trial count.
+    device::Topology topo = device::montreal27();
+    std::mt19937_64 nrng(11);
+    auto nm = std::make_shared<device::NoiseMap>(
+        device::NoiseMap::synthetic(topo, nrng));
+
+    std::mt19937_64 rng(35);
+    auto step = ham::trotterStep(ham::nnnHeisenberg(10, rng), 1.0);
+    CompilerOptions opt;
+    opt.seed = 36;
+    opt.mapperTrials = 3;
+    opt.noiseMap = nm;
+    opt.noiseLambda = 1.5;
+    auto res = TqanCompiler(topo, opt).compile(step);
+
+    qap::Placement expected = qap::bestOfTabu(
+        qap::flowMatrixOf(qcir::unifySamePairInteractions(step)),
+        nm->noiseAwareDistances(1.5), opt.seed, opt.mapperTrials);
+    EXPECT_EQ(res.initialLayout(), expected);
+    // The hop-distance placement differs, so the pin has teeth.
+    opt.noiseMap = nullptr;
+    EXPECT_NE(TqanCompiler(topo, opt).compile(step).initialLayout(),
+              expected);
+}
+
+TEST(Compiler, UnknownMapperNameThrowsListingRegistered)
+{
+    std::mt19937_64 rng(33);
+    auto h = ham::nnnHeisenberg(4, rng);
+    CompilerOptions opt;
+    opt.mapper = "bogus";
+    TqanCompiler comp(device::line(4), opt);
+    try {
+        comp.compile(ham::trotterStep(h, 1.0));
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("unknown mapper 'bogus'"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("tabu"), std::string::npos) << msg;
+    }
 }
 
 TEST(Metrics, OverheadAccessors)

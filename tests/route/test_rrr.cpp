@@ -76,6 +76,9 @@ using core::RoutingResult;
 using core::SwapStep;
 using qap::Placement;
 using route::CostModel;
+using route::kRrrHistoryWeight;
+using route::kRrrMaxRounds;
+using route::kRrrPresentWeight;
 
 std::vector<int>
 unwind(const std::vector<int> &prev, int s, int t)
@@ -248,7 +251,7 @@ referenceRrr(const qcir::Circuit &circuit,
     }
 
     const long max_swaps =
-        static_cast<long>(opt.maxSwapFactor) * std::max(1, m) *
+        core::kMaxSwapFactor * std::max(1, m) *
             std::max(2, topo.numQubits()) / 2 +
         64;
     long iter = 0;
@@ -309,8 +312,7 @@ referenceRrr(const qcir::Circuit &circuit,
 
     // History persists across epochs — contention memory is the
     // negotiation's whole point.
-    CostModel cost(topo.numQubits(), opt.rrrPresentWeight,
-                   opt.rrrHistoryWeight);
+    CostModel cost(topo.numQubits(), kRrrPresentWeight, kRrrHistoryWeight);
 
     while (!unrouted.empty()) {
         // ---- Plan: one device-graph path per net, short nets first
@@ -342,7 +344,7 @@ referenceRrr(const qcir::Circuit &circuit,
         // up the offending routes (worst congestion contribution
         // first) and reroute them through the maze phase; stop when
         // the overlap clears or the round cap hits.
-        for (int round = 0; round < opt.rrrMaxRounds; ++round) {
+        for (int round = 0; round < kRrrMaxRounds; ++round) {
             if (cost.totalOverflow() == 0)
                 break;
             cost.chargeHistory();

@@ -50,10 +50,6 @@ struct RouterOptionsMirror
 {
     std::string name;
     bool unifySwaps;
-    int maxSwapFactor;
-    int rrrMaxRounds;
-    double rrrHistoryWeight;
-    double rrrPresentWeight;
 };
 struct CompilerOptionsMirror
 {
@@ -122,11 +118,11 @@ TEST(CacheKey, KeysArePinnedAcrossBuilds)
         return std::string(buf);
     };
     CompileRequest r = baseRequest();
-    EXPECT_EQ(hex(keyOf(r)), "ffd724a36508f4b3");
+    EXPECT_EQ(hex(keyOf(r)), "9f73fa980b7d848f");
     r.options.mapper = "anneal";
-    EXPECT_EQ(hex(keyOf(r)), "1f51b190a5fc699e");
+    EXPECT_EQ(hex(keyOf(r)), "36d446e5c90b58fa");
     r.options.router.name = "rrr";
-    EXPECT_EQ(hex(keyOf(r)), "8c41f024292e8f12");
+    EXPECT_EQ(hex(keyOf(r)), "0b2d17251c66ca6c");
 }
 
 TEST(CacheKey, CoversEveryRequestField)
@@ -191,22 +187,6 @@ TEST(CacheKey, CoversEveryCompilerOptionsField)
     r = baseRequest();
     r.options.router.unifySwaps = !r.options.router.unifySwaps;
     expectKeyChanges("options.router.unifySwaps", r);
-
-    r = baseRequest();
-    r.options.router.maxSwapFactor += 1;
-    expectKeyChanges("options.router.maxSwapFactor", r);
-
-    r = baseRequest();
-    r.options.router.rrrMaxRounds += 1;
-    expectKeyChanges("options.router.rrrMaxRounds", r);
-
-    r = baseRequest();
-    r.options.router.rrrHistoryWeight += 0.25;
-    expectKeyChanges("options.router.rrrHistoryWeight", r);
-
-    r = baseRequest();
-    r.options.router.rrrPresentWeight += 0.25;
-    expectKeyChanges("options.router.rrrPresentWeight", r);
 
     r = baseRequest();
     r.options.tabu.maxIters += 1;

@@ -331,4 +331,11 @@ TEST(OracleModes, ParametricDeviceSpecsShareTheTopologyBound)
     EXPECT_THROW(device::deviceByName("heavyhex:4"),
                  std::invalid_argument);
     EXPECT_EQ(device::deviceByName("heavyhex:5").numQubits(), 65);
+
+    // Integers are strict decimals, like the custom:N parser: no
+    // sign, no blanks on either side.
+    for (const char *spec : {"line: 5", "line:+5", "line:5 ",
+                             "grid:+2x 3", "ring:-4", "heavyhex:+3"})
+        EXPECT_THROW(device::deviceByName(spec), std::invalid_argument)
+            << spec;
 }

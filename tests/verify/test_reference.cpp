@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
+#include "core/router_registry.h"
 #include "device/devices.h"
 #include "ham/models.h"
 #include "ham/trotter.h"
@@ -142,9 +143,10 @@ TEST(LayoutProperty, FinalLayoutMatchesSwapTraceForAllBackends)
     }
 }
 
-/** For the 2QAN pipeline the routing result is also exposed:
- * applying its SwapSteps to `initial` must land on `finalMap` and on
- * finalLayout(). */
+/** For the 2QAN pipeline, the router rerun on the compile's initial
+ * layout (same unified step, same seed) reproduces its SWAP trace:
+ * applying the SwapSteps to initialLayout() must land on the router's
+ * finalMap and on finalLayout(), with the compile's SWAP count. */
 TEST(LayoutProperty, RoutingSwapTraceMatchesMaps)
 {
     testgen::Scenario s = testgen::randomScenario(42);
@@ -155,13 +157,22 @@ TEST(LayoutProperty, RoutingSwapTraceMatchesMaps)
     core::CompileResult res =
         core::backendByName("2qan").compile(job, s.topo);
 
-    const core::RoutingResult &r = res.routing;
-    ASSERT_EQ(r.initial.size(), r.finalMap.size());
+    qcir::Circuit unified = qcir::unifySamePairInteractions(*s.step);
+    std::mt19937_64 rng(job.options.seed);
+    core::RouteRequest req;
+    req.circuit = &unified;
+    req.initial = &res.initialLayout();
+    req.topo = &s.topo;
+    req.rng = &rng;
+    req.opt = job.options.router;
+    core::RoutingResult r =
+        core::routerByName(req.opt.name).route(req);
+
     qap::Placement cur = r.initial;
     std::vector<int> inv = qap::invertPlacement(cur, s.topo.numQubits());
     for (const core::SwapStep &step : r.swaps)
         qap::applySwap(cur, inv, step.p, step.q);
     EXPECT_EQ(cur, r.finalMap);
     EXPECT_EQ(cur, res.finalLayout());
-    EXPECT_EQ(r.initial, res.initialLayout());
+    EXPECT_EQ(r.swapCount(), res.sched.swapCount);
 }

@@ -63,6 +63,7 @@ printHelp(std::FILE *out)
         "options:\n"
         "  --device NAME     montreal | sycamore | aspen | manhattan\n"
         "                    | line:N | ring:N | grid:RxC\n"
+        "                    | heavyhex:D (D odd >= 3)\n"
         "                    (default montreal)\n"
         "  --gateset G       cnot | cz | iswap | syc (default cnot)\n"
         "  --pipeline B      compiler backend: %s\n"
