@@ -6,16 +6,6 @@
 namespace tqan {
 namespace baseline {
 
-std::vector<int>
-twoQubitOpIndices(const qcir::Circuit &c)
-{
-    std::vector<int> idx;
-    for (int i = 0; i < c.size(); ++i)
-        if (c.op(i).isTwoQubit())
-            idx.push_back(i);
-    return idx;
-}
-
 qcir::Circuit
 twoQubitSubcircuit(const qcir::Circuit &c)
 {
@@ -24,18 +14,6 @@ twoQubitSubcircuit(const qcir::Circuit &c)
         if (o.isTwoQubit())
             r.add(o);
     return r;
-}
-
-void
-appendOneQubitOps(const qcir::Circuit &source, BaselineResult &res)
-{
-    for (const auto &o : source.ops()) {
-        if (o.isTwoQubit())
-            continue;
-        qcir::Op r = o;
-        r.q0 = res.finalMap[o.q0];
-        res.deviceCircuit.add(r);
-    }
 }
 
 OneQubitInterleaver::OneQubitInterleaver(const qcir::Circuit &c)

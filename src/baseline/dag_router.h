@@ -30,9 +30,6 @@ struct BaselineResult
     int swapCount = 0;
 };
 
-/** Indices of the two-qubit ops of a circuit, in order. */
-std::vector<int> twoQubitOpIndices(const qcir::Circuit &c);
-
 /**
  * The two-qubit-op sub-circuit (the object the baselines route);
  * 1q ops do not reorder 2q ops beyond what shared qubits already
@@ -41,15 +38,8 @@ std::vector<int> twoQubitOpIndices(const qcir::Circuit &c);
 qcir::Circuit twoQubitSubcircuit(const qcir::Circuit &c);
 
 /**
- * Append the single-qubit ops of `source` to a routed result under
- * its final map (matching how the 2QAN pipeline accounts for them).
- */
-void appendOneQubitOps(const qcir::Circuit &source,
-                       BaselineResult &res);
-
-/**
- * Keeps single-qubit ops attached to their positions: for each
- * two-qubit op of the circuit (indexed in twoQubitOpIndices order),
+ * Keeps single-qubit ops attached to their positions: for the j-th
+ * two-qubit op of the circuit (sub-op j of twoQubitSubcircuit()),
  * the single-qubit ops that must execute before it on its qubits.
  * Emitting before(j) whenever sub-op j is emitted, plus tail() at the
  * end, preserves per-qubit op order (the only order that matters)

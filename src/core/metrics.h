@@ -32,7 +32,6 @@ struct CompilationMetrics
     /** Increase in gate count vs. NoMap (the paper's "overhead"). */
     int gateOverhead() const { return native2q - native2qNoMap; }
     int depth2qOverhead() const { return depth2q - depth2qNoMap; }
-    int depthAllOverhead() const { return depthAll - depthAllNoMap; }
 };
 
 /**

@@ -11,9 +11,8 @@
  *    full KAK for arbitrary U2q payloads).  The emitted circuit's
  *    unitary equals the input's (up to global phase); generic
  *    three-axis interactions use a 4-CNOT constructive template (the
- *    minimal-count metric in the benchmarks uses the exact
- *    SBM counts from native_count.h; the numerical decomposer below
- *    reaches the 3-CNOT minimum when needed).
+ *    minimal-count metric in the benchmarks uses the exact SBM counts
+ *    from native_count.h instead).
  *
  *  - expandForMetrics: count-exact structural expansion for *any*
  *    gate set: each two-qubit op becomes its minimal number of native

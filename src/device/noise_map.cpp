@@ -91,5 +91,13 @@ NoiseMap::synthetic(const Topology &topo, std::mt19937_64 &rng,
     return NoiseMap(topo, std::move(edges), std::move(ro));
 }
 
+std::shared_ptr<const NoiseMap>
+syntheticCalibration(const Topology &topo, std::uint64_t compileSeed)
+{
+    std::mt19937_64 rng(compileSeed ^ 0xCA11B8A7Eull);
+    return std::make_shared<const NoiseMap>(
+        NoiseMap::synthetic(topo, rng));
+}
+
 } // namespace device
 } // namespace tqan

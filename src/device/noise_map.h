@@ -14,6 +14,8 @@
 #ifndef TQAN_DEVICE_NOISE_MAP_H
 #define TQAN_DEVICE_NOISE_MAP_H
 
+#include <cstdint>
+#include <memory>
 #include <random>
 
 #include "device/topology.h"
@@ -60,6 +62,17 @@ class NoiseMap
     std::vector<double> edge_;     // parallel to topo.edges()
     std::vector<double> readout_;  // per qubit
 };
+
+/**
+ * The calibration a noise-aware compile seeded with `compileSeed`
+ * places against: NoiseMap::synthetic() drawn from
+ * compileSeed ^ 0xCA11B8A7E.  `tqanc --noise-aware` and the compile
+ * service's `noise_aware` both take it from here, so a request
+ * compiles the same through either.  The map points at `topo`, which
+ * must outlive it.
+ */
+std::shared_ptr<const NoiseMap>
+syntheticCalibration(const Topology &topo, std::uint64_t compileSeed);
 
 } // namespace device
 } // namespace tqan

@@ -23,9 +23,10 @@
  *           (default: throw)
  *
  * Example: TQAN_FAULT=ckpt.append:3:exit kills the process the
- * moment it tries to journal its third shard — two shards are
- * durable, nothing else is — which is how CI stages a deterministic
- * "SIGKILL at 50%" for the kill-and-resume proof.
+ * moment it makes its third checkpoint append.  A campaign journals
+ * its config tag first, so one shard is durable and nothing else is
+ * — which is how CI stages a deterministic mid-campaign SIGKILL for
+ * the kill-and-resume proof.
  *
  * Probes are free when no plan is armed (one relaxed atomic load).
  * A malformed TQAN_FAULT value warns on stderr and is ignored, per

@@ -8,7 +8,6 @@
 #include <deque>
 #include <istream>
 #include <ostream>
-#include <random>
 #include <stdexcept>
 #include <thread>
 
@@ -369,14 +368,10 @@ CompileService::keyRequest(CompileRequest req)
     core::backendByName(req.backend);  // reject unknowns up front
     p->req = std::move(req);
     if (p->req.noiseAware) {
-        // Same synthetic-calibration derivation as `tqanc
-        // --noise-aware` (parity is pinned by tests).  The NoiseMap
-        // keeps a pointer to its topology; p->topo keeps that one
-        // alive for the compile.
-        std::mt19937_64 nrng(p->req.options.seed ^ 0xCA11B8A7Eull);
-        p->req.options.noiseMap =
-            std::make_shared<device::NoiseMap>(
-                device::NoiseMap::synthetic(*p->topo, nrng));
+        // The NoiseMap keeps a pointer to its topology; p->topo
+        // keeps that one alive for the compile.
+        p->req.options.noiseMap = device::syntheticCalibration(
+            *p->topo, p->req.options.seed);
     }
     p->canonical = canonicalRequest(p->req, *p->topo);
     p->key = core::fnv1a64(p->canonical);

@@ -12,8 +12,11 @@
  * with k applications of the native gate G and parameterized
  * single-qubit unitaries, then minimize the phase-invariant Frobenius
  * distance to the target with random-restart adaptive pattern search.
- * Used to synthesize explicit SYC / iSWAP circuits (with caching, see
- * pass.h) and to verify the analytic minimal counts.
+ *
+ * Kept as a test oracle: test_numerical.cpp checks the analytic
+ * minimal counts of decomp/native_count.h against it.  Nothing in the
+ * library synthesizes with it, so it is linked into the test binaries
+ * only, never into libtqan.
  */
 
 #ifndef TQAN_DECOMP_NUMERICAL_H

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "core/backend.h"
@@ -30,6 +31,7 @@
 #include "simd/dispatch.h"
 #include "decomp/pass.h"
 #include "device/devices.h"
+#include "device/noise_map.h"
 #include "ham/parser.h"
 #include "ham/trotter.h"
 #include "qap/mapper.h"
@@ -120,8 +122,11 @@ main(int argc, char **argv)
     }
 
     std::string input = argv[1];
-    std::string dev = "montreal", gs_name = "cnot", mapper = "tabu",
-                router = "greedy", pipeline = "2qan";
+    std::string mapper = "tabu", router = "greedy", pipeline = "2qan";
+    // Resolved where parsed, so an unknown device or gate set is a
+    // usage error like any other bad flag value.
+    std::optional<device::Topology> topo;  // default montreal
+    device::GateSet gs = device::GateSet::Cnot;
     double t = 1.0;
     std::uint64_t seed = 7;
     int jobs = core::CompilerOptions().jobs, trials = 5;
@@ -147,9 +152,9 @@ main(int argc, char **argv)
         };
         try {
             if (a == "--device")
-                dev = next();
+                topo = device::deviceByName(next());
             else if (a == "--gateset")
-                gs_name = next();
+                gs = device::gateSetByName(next());
             else if (a == "--pipeline") {
                 // Validate at parse time, like unknown flags: a typo
                 // should not survive until the compile starts.
@@ -206,6 +211,8 @@ main(int argc, char **argv)
                      tqan_only.front().c_str(), pipeline.c_str());
         return 2;
     }
+    if (!topo)
+        topo = device::deviceByName("montreal");
 
     core::profile::setEnabled(profile);
     // A TQAN_FAULT plan changes behavior by design; make sure it is
@@ -224,9 +231,6 @@ main(int argc, char **argv)
             return ham::parseHamiltonian(f);
         }();
 
-        device::Topology topo = device::deviceByName(dev);
-        device::GateSet gs = device::gateSetByName(gs_name);
-
         core::CompileJob job;
         job.hamiltonian = &h;
         job.time = t;
@@ -237,18 +241,14 @@ main(int argc, char **argv)
         job.options.router.name = router;
         job.options.hybridSchedule = !generic_sched;
         job.options.mapper = mapper;
-        if (noise_aware) {
-            std::mt19937_64 nrng(seed ^ 0xCA11B8A7Eull);
-            job.options.noiseMap =
-                std::make_shared<device::NoiseMap>(
-                    device::NoiseMap::synthetic(topo, nrng));
-        }
+        if (noise_aware)
+            job.options.noiseMap = device::syntheticCalibration(*topo, seed);
 
         const core::CompilerBackend &backend =
             core::backendByName(pipeline);
         qcir::Circuit step = ham::trotterStep(h, t);
         job.step = &step;
-        auto res = backend.compile(job, topo);
+        auto res = backend.compile(job, *topo);
         auto m = backend.metrics(res, step, gs);
 
         std::fprintf(stderr,
@@ -257,7 +257,7 @@ main(int argc, char **argv)
                      "  native 2q      %d (NoMap %d, overhead %d)\n"
                      "  2q depth       %d (NoMap %d)\n"
                      "  all-gate depth %d (NoMap %d)\n",
-                     h.numQubits(), topo.name().c_str(),
+                     h.numQubits(), topo->name().c_str(),
                      device::gateSetName(gs).c_str(),
                      backend.name().c_str(), m.swaps, m.dressed,
                      m.native2q, m.native2qNoMap, m.gateOverhead(),
